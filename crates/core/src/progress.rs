@@ -2,7 +2,7 @@
 //!
 //! [`CegarSolver`](crate::CegarSolver) emits one [`ProgressSnapshot`]
 //! per CEGAR round (at the round barrier, before the frontier is
-//! pre-checked) through whatever [`ProgressReporter`] the caller put
+//! checked) through whatever [`ProgressReporter`] the caller put
 //! in [`SolverConfig::progress`](crate::SolverConfig). This is the
 //! introspection surface a portfolio canceller or the future serve
 //! daemon polls: is the frontier shrinking, are the sample stores
@@ -12,8 +12,7 @@
 //!
 //! * **trajectory fields** (round, frontier, samples, seeds, learned
 //!   DB…) — functions of the refinement trajectory, therefore
-//!   identical at every thread count under the bit-identical replay
-//!   guarantee;
+//!   identical across runs;
 //! * **timing fields** (cumulative per-phase micros, budget remaining)
 //!   — wall-clock readings, excluded from determinism comparisons
 //!   ([`ProgressSnapshot::TIMING_FIELDS`]).
@@ -49,8 +48,7 @@ pub struct ProgressSnapshot {
     pub seed_version_sum: u64,
     /// Seed planes retired by unsat-core pruning.
     pub seeds_pruned: usize,
-    /// Cumulative oracle-phase micros so far (pre-checks + live
-    /// checks). Timing field.
+    /// Cumulative oracle-phase micros so far. Timing field.
     pub oracle_us: u64,
     /// Cumulative resolve-phase micros so far (sample extraction +
     /// learning + interpretation updates). Timing field.
@@ -59,15 +57,14 @@ pub struct ProgressSnapshot {
     /// Timing field.
     pub time_left_ms: Option<u64>,
     /// Conflicts left in the shared conflict pool, if one is set.
-    /// Timing field (discarded speculation also drains the pool, so
-    /// this varies with thread count).
+    /// Timing field (a pool shared with concurrently racing engines
+    /// drains at their pace too).
     pub conflicts_left: Option<u64>,
 }
 
 impl ProgressSnapshot {
     /// JSON keys of the wall-clock-dependent fields — everything else
-    /// is a pure function of the (thread-count-invariant) refinement
-    /// trajectory. Determinism comparisons drop exactly these.
+    /// is a pure function of the refinement trajectory. Determinism comparisons drop exactly these.
     pub const TIMING_FIELDS: [&'static str; 4] =
         ["oracle_us", "resolve_us", "time_left_ms", "conflicts_left"];
 

@@ -8,7 +8,7 @@
 //! harvest order, directions are gcd-normalized with a canonical sign
 //! (orientation is irrelevant — the intercept refit tries both), and
 //! pruning is driven by counters, never by wall-clock. This keeps the
-//! solver's any-thread-count bit-identical trajectory guarantee intact.
+//! solver's trajectory bit-identical run to run.
 
 use linarb_arith::BigInt;
 use linarb_logic::{Atom, PredId, Var};

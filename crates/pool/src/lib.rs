@@ -23,8 +23,7 @@
 //! from the front, and an idle worker steals from the *back* of a
 //! victim's deque (the classic Chase–Lev orientation, which keeps
 //! owners and thieves on opposite ends and steals the largest pending
-//! chunks under skewed task sizes). Steals are counted on the pool
-//! for observability.
+//! chunks under skewed task sizes).
 //!
 //! Panics inside tasks are caught, the first payload is kept, and the
 //! panic is re-raised on the calling thread after all workers have
@@ -32,53 +31,17 @@
 //! caller.
 
 use std::any::Any;
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
 type Payload = Box<dyn Any + Send + 'static>;
 
-thread_local! {
-    /// The id of the pool worker currently running on this thread
-    /// (0 on threads that are not inside a pool primitive — the
-    /// caller itself always acts as worker 0).
-    static WORKER_ID: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The pool-worker id of the current thread. Worker 0 is the calling
-/// thread; ids `1..threads` are the spawned helpers. Outside any pool
-/// primitive this returns 0.
-pub fn current_worker() -> usize {
-    WORKER_ID.with(|w| w.get())
-}
-
-/// RAII guard that tags the current thread with a worker id and
-/// restores the previous id on drop (so nested pool calls unwind
-/// correctly).
-struct WorkerIdGuard {
-    prev: usize,
-}
-
-impl WorkerIdGuard {
-    fn enter(id: usize) -> WorkerIdGuard {
-        let prev = WORKER_ID.with(|w| w.replace(id));
-        WorkerIdGuard { prev }
-    }
-}
-
-impl Drop for WorkerIdGuard {
-    fn drop(&mut self) {
-        let prev = self.prev;
-        WORKER_ID.with(|w| w.set(prev));
-    }
-}
-
 /// Pops a task for worker `w`: own deque front first, then steal from
 /// the back of the other deques, scanning from the nearest neighbour.
-fn pop_or_steal<T>(queues: &[Mutex<VecDeque<T>>], w: usize, steals: &AtomicU64) -> Option<T> {
+fn pop_or_steal<T>(queues: &[Mutex<VecDeque<T>>], w: usize) -> Option<T> {
     if let Some(t) = queues[w].lock().unwrap().pop_front() {
         return Some(t);
     }
@@ -86,7 +49,6 @@ fn pop_or_steal<T>(queues: &[Mutex<VecDeque<T>>], w: usize, steals: &AtomicU64) 
     for off in 1..k {
         let victim = (w + off) % k;
         if let Some(t) = queues[victim].lock().unwrap().pop_back() {
-            steals.fetch_add(1, Ordering::Relaxed);
             return Some(t);
         }
     }
@@ -110,27 +72,17 @@ fn record_panic(slot: &Mutex<Option<Payload>>, p: Payload) {
 #[derive(Debug)]
 pub struct Pool {
     threads: usize,
-    steals: AtomicU64,
 }
 
 impl Pool {
     /// Creates a pool of the given width. Width 0 is promoted to 1.
     pub fn new(threads: usize) -> Pool {
-        Pool {
-            threads: threads.max(1),
-            steals: AtomicU64::new(0),
-        }
+        Pool { threads: threads.max(1) }
     }
 
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Total tasks stolen across workers over the pool's lifetime.
-    /// Timing-dependent — useful as telemetry, never for control flow.
-    pub fn steal_count(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
     }
 
     /// Applies `f` to every item, in parallel across the pool's
@@ -153,7 +105,6 @@ impl Pool {
         let n = items.len();
         let workers = self.threads.min(n);
         if workers <= 1 {
-            let _g = WorkerIdGuard::enter(0);
             return items.into_iter().map(f).collect();
         }
 
@@ -166,27 +117,24 @@ impl Pool {
         let pending = AtomicUsize::new(n);
         let panic: Mutex<Option<Payload>> = Mutex::new(None);
 
-        let work = |w: usize| {
-            let _g = WorkerIdGuard::enter(w);
-            loop {
-                match pop_or_steal(&queues, w, &self.steals) {
-                    Some((i, item)) => {
-                        // Once a task has panicked, drain the rest
-                        // without running them so everyone exits fast.
-                        if panic.lock().unwrap().is_none() {
-                            match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                                Ok(u) => *slots[i].lock().unwrap() = Some(u),
-                                Err(p) => record_panic(&panic, p),
-                            }
+        let work = |w: usize| loop {
+            match pop_or_steal(&queues, w) {
+                Some((i, item)) => {
+                    // Once a task has panicked, drain the rest
+                    // without running them so everyone exits fast.
+                    if panic.lock().unwrap().is_none() {
+                        match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                            Ok(u) => *slots[i].lock().unwrap() = Some(u),
+                            Err(p) => record_panic(&panic, p),
                         }
-                        pending.fetch_sub(1, Ordering::AcqRel);
                     }
-                    None => {
-                        if pending.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        thread::yield_now();
+                    pending.fetch_sub(1, Ordering::AcqRel);
+                }
+                None => {
+                    if pending.load(Ordering::Acquire) == 0 {
+                        break;
                     }
+                    thread::yield_now();
                 }
             }
         };
@@ -253,7 +201,6 @@ impl Pool {
             pending: AtomicUsize::new(0),
             next: AtomicUsize::new(0),
             panic: Mutex::new(None),
-            steals: AtomicU64::new(0),
         };
         let done = AtomicBool::new(false);
 
@@ -275,8 +222,6 @@ impl Pool {
             r
         });
 
-        self.steals
-            .fetch_add(scope.steals.load(Ordering::Relaxed), Ordering::Relaxed);
         if let Some(p) = scope.panic.into_inner().unwrap() {
             resume_unwind(p);
         }
@@ -293,7 +238,6 @@ pub struct Scope<'env> {
     pending: AtomicUsize,
     next: AtomicUsize,
     panic: Mutex<Option<Payload>>,
-    steals: AtomicU64,
 }
 
 impl<'env> Scope<'env> {
@@ -312,9 +256,8 @@ impl<'env> Scope<'env> {
     /// signals completion; the caller (`done = None`) helps until the
     /// pending count hits zero.
     fn work(&self, w: usize, done: Option<&AtomicBool>) {
-        let _g = WorkerIdGuard::enter(w);
         loop {
-            match pop_or_steal(&self.queues, w, &self.steals) {
+            match pop_or_steal(&self.queues, w) {
                 Some(job) => {
                     if self.panic.lock().unwrap().is_none() {
                         if let Err(p) = catch_unwind(AssertUnwindSafe(job)) {
@@ -361,7 +304,6 @@ mod tests {
         let pool = Pool::new(1);
         let out = pool.parallel_map(vec![1, 2, 3], |x| x + 10);
         assert_eq!(out, vec![11, 12, 13]);
-        assert_eq!(pool.steal_count(), 0);
     }
 
     #[test]
@@ -379,16 +321,18 @@ mod tests {
         // worker 0 and the instant ones on worker 1; worker 1 must
         // steal from worker 0's deque to finish the batch.
         let pool = Pool::new(2);
+        let caller = thread::current().id();
         let items: Vec<usize> = (0..8).collect();
         let out = pool.parallel_map(items, |i| {
             if i % 2 == 0 {
                 thread::sleep(Duration::from_millis(20));
             }
-            i * i
+            (i * i, thread::current().id())
         });
-        assert_eq!(out, (0..8).map(|i| i * i).collect::<Vec<usize>>());
+        let squares: Vec<usize> = out.iter().map(|(sq, _)| *sq).collect();
+        assert_eq!(squares, (0..8).map(|i| i * i).collect::<Vec<usize>>());
         assert!(
-            pool.steal_count() > 0,
+            out.iter().step_by(2).any(|(_, id)| *id != caller),
             "expected the idle worker to steal under a skewed load"
         );
     }
@@ -427,7 +371,7 @@ mod tests {
     #[test]
     fn nested_scopes() {
         // A task spawned in an outer scope opens its own pool scope;
-        // worker-id bookkeeping and result collection must nest.
+        // result collection must nest.
         let pool = Pool::new(2);
         let inner_pool = Pool::new(2);
         let total = AtomicU32::new(0);
@@ -442,7 +386,6 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 4 * 60);
-        assert_eq!(current_worker(), 0, "worker id must be restored after nesting");
     }
 
     #[test]

@@ -266,7 +266,8 @@ pub struct PortfolioConfig {
     /// Engines to race (default: [`EngineKind::race`]).
     pub engines: Vec<EngineKind>,
     /// Pool width. With 1, engines round-robin on doubling time
-    /// slices instead of racing concurrently.
+    /// slices instead of racing concurrently. Set from
+    /// `LINARB_THREADS` by [`PortfolioConfig::from_env`].
     pub threads: usize,
     /// Enable the cross-seeding bus (lemma/interpolant atoms and BMC
     /// negatives flowing into the CEGAR engine).
@@ -294,9 +295,17 @@ impl Default for PortfolioConfig {
 }
 
 impl PortfolioConfig {
-    /// Default config with `LINARB_PORTFOLIO_FORCE` honoured.
+    /// Default config with `LINARB_THREADS` (race width, default 1)
+    /// and `LINARB_PORTFOLIO_FORCE` honoured. This is the one place
+    /// the portfolio reads `LINARB_THREADS`.
     pub fn from_env() -> PortfolioConfig {
         let mut c = PortfolioConfig::default();
+        if let Some(n) = std::env::var("LINARB_THREADS")
+            .ok()
+            .and_then(|s| s.trim().parse().ok())
+        {
+            c = c.with_threads(n);
+        }
         if let Ok(name) = std::env::var("LINARB_PORTFOLIO_FORCE") {
             c.force = EngineKind::parse(&name);
         }

@@ -7,9 +7,9 @@
 //! order, so cache contents are a deterministic function of the
 //! submission sequence (never of worker timing).
 //!
-//! Worker solvers run single-threaded (`with_threads(1)`) — the
-//! parallelism budget is spent across jobs, not inside one solve, and
-//! it keeps per-job trajectories identical at every pool width.
+//! Each worker solves one job at a time with the sequential CEGAR
+//! loop: the parallelism budget is spent across jobs, not inside one
+//! solve, so per-job trajectories are identical at every pool width.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -48,8 +48,6 @@ pub struct ServeConfig {
     /// and consume warm-start snapshots); `Some(kind)` dispatches
     /// through the portfolio's [`run_engine`] instead.
     pub engine: Option<EngineKind>,
-    /// Countermodel minimization knob forwarded to the CEGAR engine.
-    pub minimize_models: bool,
     /// BMC unroll cap forwarded to portfolio engines.
     pub bmc_max_depth: usize,
 }
@@ -71,7 +69,6 @@ impl Default for ServeConfig {
             near: true,
             near_min_frac: 0.5,
             engine: None,
-            minimize_models: false,
             bmc_max_depth: 256,
         }
     }
@@ -504,8 +501,6 @@ impl ServeCore {
             None | Some(EngineKind::Cegar) => {
                 let mut config = SolverConfig::default()
                     .with_oracle(OracleMode::Incremental)
-                    .with_threads(1)
-                    .with_minimize_models(self.cfg.minimize_models)
                     .with_seed_atoms(seed_atoms);
                 if let Some(ws) = warm {
                     config = config.with_warm_start(ws);

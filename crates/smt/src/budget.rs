@@ -8,22 +8,23 @@
 //! carries the CDCL conflict cap for a single SAT search, replacing the
 //! solver's former hard-coded constant.
 //!
-//! # Global conflict budgets and parallelism
+//! # Global conflict budgets
 //!
-//! The per-search conflict cap alone is wrong under parallel clause
-//! checking: N concurrent oracle checks would each get the full cap,
-//! multiplying the effective budget by N. A budget can therefore also
-//! carry a **shared** conflict pool ([`Budget::with_global_conflict_limit`]):
-//! clones of the budget (one per worker) all draw down the same atomic
-//! counter, engines charge the conflicts each SAT search actually spent
-//! ([`Budget::charge_conflicts`]), and cap the next search at whatever
-//! remains ([`Budget::effective_conflict_limit`]). When the pool runs
-//! dry, [`Budget::exhausted`] trips and every worker winds down.
+//! The per-search conflict cap alone bounds one SAT search, not a job
+//! that runs many of them: N oracle checks would each get the full
+//! cap, multiplying the effective budget by N. A budget can therefore
+//! also carry a **shared** conflict pool
+//! ([`Budget::with_global_conflict_limit`]): all clones of the budget
+//! draw down the same atomic counter, engines charge the conflicts
+//! each SAT search actually spent ([`Budget::charge_conflicts`]), and
+//! cap the next search at whatever remains
+//! ([`Budget::effective_conflict_limit`]). When the pool runs dry,
+//! [`Budget::exhausted`] trips and every holder winds down.
 //!
-//! Note that *when* a shared pool trips is inherently timing-dependent
-//! (it depends on how conflicts interleave across workers), so
-//! deterministic runs — tests, differential comparisons — should use
-//! per-search caps only. [`Budget::unlimited`] and friends never attach
+//! Note that *when* a shared pool trips is timing-dependent once
+//! clones run concurrently (it depends on how conflicts interleave
+//! across threads), so deterministic runs — tests, differential
+//! comparisons — should use per-search caps only. [`Budget::unlimited`] and friends never attach
 //! a pool; it is strictly opt-in.
 //!
 //! # Cooperative cancellation

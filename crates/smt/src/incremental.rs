@@ -81,12 +81,6 @@ pub struct IncrementalSolver {
     /// Activation literals of the last `Unsat` answer's assumption
     /// core (see [`last_unsat_core`](Self::last_unsat_core)).
     last_core: Vec<Lit>,
-    /// Whether [`check`](Self::check) resets the CDCL branching state
-    /// (VSIDS activities, saved phases) before searching. Off by
-    /// default: carried-over decision state is what lets hard checks
-    /// profit from earlier ones. See [`set_decision_reset`](Self::set_decision_reset)
-    /// for when resetting wins instead.
-    reset_decisions: bool,
 }
 
 impl Default for IncrementalSolver {
@@ -107,7 +101,6 @@ impl IncrementalSolver {
             guard_atoms: HashMap::new(),
             checks: 0,
             last_core: Vec::new(),
-            reset_decisions: false,
         }
     }
 
@@ -116,22 +109,6 @@ impl IncrementalSolver {
     /// differential tests.
     pub fn set_online(&mut self, online: bool) {
         self.online = online;
-    }
-
-    /// Chooses whether each [`check`](Self::check) starts from a fresh
-    /// branching state (activities and saved phases cleared; learned
-    /// clauses always persist either way).
-    ///
-    /// This is a *model-selection* policy, not a correctness one: both
-    /// settings are sound, but they walk different model sequences,
-    /// which matters to callers that sample models (the CEGAR loop's
-    /// refinement trajectory follows the countermodels it is fed).
-    /// Keeping state preserves the diversity that accumulated phases
-    /// provide; resetting makes every check branch like a fresh solver.
-    /// Empirically neither dominates — see the oracle notes in the
-    /// repository's DESIGN.md.
-    pub fn set_decision_reset(&mut self, reset: bool) {
-        self.reset_decisions = reset;
     }
 
     fn prepare(&mut self, f: &Formula) -> Formula {
@@ -228,9 +205,6 @@ impl IncrementalSolver {
 
     fn check_inner(&mut self, active: &[Lit], budget: &Budget, rounds: &mut u64) -> SmtResult {
         self.checks += 1;
-        if self.reset_decisions {
-            self.enc.sat.reset_decision_state();
-        }
         // Atoms this check's formulas actually mention; atoms occurring
         // only in retracted guarded formulas are invisible to the
         // theory (their SAT polarities are unconstrained noise).
@@ -278,8 +252,8 @@ impl IncrementalSolver {
         // fresh small tableau beats a warm bloated one. The factor was
         // tuned on the perf_smoke suite: tighter caps forfeit real
         // warm-start wins, an uncapped context times out the biggest
-        // instances. Keyed on solver state only — never wall time — to
-        // preserve cross-thread determinism.
+        // instances. Keyed on solver state only — never wall time — so
+        // trajectories repeat exactly.
         let slack_cap = 8 * relevant_atoms.len() + 512;
         if self.theory.num_slacks() > slack_cap {
             let (bt, bn, pv) = (
@@ -652,7 +626,7 @@ mod tests {
 
     #[test]
     fn incremental_solver_is_send() {
-        // Parallel clause checking moves whole contexts to worker
+        // Warm-start snapshots carry whole contexts to serve worker
         // threads; the solver (and everything it owns) must be Send.
         fn assert_send<T: Send>() {}
         assert_send::<IncrementalSolver>();

@@ -196,3 +196,22 @@ fn unsat_cex_depth_grows_with_bug_depth() {
         ts.size()
     );
 }
+
+#[test]
+fn threads_without_engine_is_a_usage_error() {
+    // `--threads` sets the portfolio race width; the classic CEGAR
+    // path is sequential, so the flag alone must be rejected rather
+    // than silently ignored.
+    let fig1 = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/fig1.smt2");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_linarb"))
+        .args(["--threads", "2", fig1])
+        .output()
+        .expect("run linarb");
+    assert_eq!(out.status.code(), Some(1), "usage errors exit 1");
+    assert!(out.stdout.is_empty(), "no verdict may be printed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--engine"),
+        "the error must name --engine: {stderr}"
+    );
+}
