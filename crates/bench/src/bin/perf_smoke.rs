@@ -480,12 +480,11 @@ fn main() -> ExitCode {
     );
     let hit_rate = |hits: u64| hits as f64 / serve_out.jobs.max(1) as f64;
     eprintln!(
-        "  warm {:.2}s ({:.0} solves/s, exact {} near {} miss {}) vs cold {:.2}s \
+        "  warm {:.2}s ({:.0} solves/s, exact {} miss {}) vs cold {:.2}s \
          ({:.0} solves/s) -> {:.2}x; p50 {}us p99 {}us; unknown warm {} cold {}",
         serve_out.warm.wall_s,
         serve_out.warm.throughput,
         serve_out.warm.exact_hits,
-        serve_out.warm.near_hits,
         serve_out.warm.misses,
         serve_out.cold.wall_s,
         serve_out.cold.throughput,
@@ -632,14 +631,13 @@ fn main() -> ExitCode {
         writeln!(
             json,
             "    \"{label}\": {{\"wall_s\": {:.3}, \"throughput\": {:.1}, \
-             \"p50_us\": {}, \"p99_us\": {}, \"exact_hits\": {}, \"near_hits\": {}, \
-             \"misses\": {}, \"verify_failures\": {}, \"unknown\": {}}},",
+             \"p50_us\": {}, \"p99_us\": {}, \"exact_hits\": {}, \"misses\": {}, \
+             \"verify_failures\": {}, \"unknown\": {}}},",
             side.wall_s,
             side.throughput,
             side.p50_us,
             side.p99_us,
             side.exact_hits,
-            side.near_hits,
             side.misses,
             side.verify_failures,
             side.unknown
@@ -648,7 +646,6 @@ fn main() -> ExitCode {
     }
     writeln!(json, "    \"speedup\": {:.2},", serve_out.speedup).unwrap();
     writeln!(json, "    \"exact_hit_rate\": {:.3},", hit_rate(serve_out.warm.exact_hits)).unwrap();
-    writeln!(json, "    \"near_hit_rate\": {:.3},", hit_rate(serve_out.warm.near_hits)).unwrap();
     writeln!(json, "    \"mismatches\": {}", serve_out.mismatches).unwrap();
     writeln!(json, "  }}").unwrap();
     writeln!(json, "}}").unwrap();

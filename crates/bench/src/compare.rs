@@ -481,6 +481,25 @@ mod tests {
     }
 
     #[test]
+    fn parses_reports_with_retired_serve_counters() {
+        // Reports up to BENCH_10 carry near-tier counters in the
+        // serve section; the section is informational and still parses.
+        let text = r#"{
+          "suite_size": 1, "timeout_ms": 1000,
+          "incremental": {"wall_s": 0.5,
+                          "benchmarks": [{"name": "x", "wall_s": 0.5, "verdict": "sat"}]},
+          "incremental_solved": 1,
+          "serve": {"bases": 1, "jobs": 2,
+                    "warm": {"exact_hits": 1, "near_hits": 1, "misses": 0},
+                    "near_hit_rate": 0.5, "mismatches": 0}
+        }"#;
+        let rep = BenchReport::parse("old", text).expect("parse");
+        assert_eq!(rep.solved["incremental"], 1);
+        assert!(rep.unrecognized.is_empty(), "{:?}", rep.unrecognized);
+        assert!(compare(&rep, &rep, CompareOptions::default()).passed());
+    }
+
+    #[test]
     fn identical_reports_pass() {
         let prev = report("prev", 1.0, 2.0, 2, "sat");
         let cur = report("cur", 1.0, 2.0, 2, "sat");

@@ -49,8 +49,8 @@
 
 use linarb_arith::BigInt;
 use linarb_logic::{
-    Atom, ChcSystem, Clause, ClauseHead, ClauseId, Formula, Interpretation, LinExpr, Model,
-    PredApp, PredId, Var,
+    Atom, ChcSystem, Clause, ClauseHead, ClauseId, Formula, Interpretation, LinExpr, Model, PredId,
+    Var,
 };
 use linarb_ml::{learn, learn_seeded, Dataset, LearnConfig, LearnError, Sample, SeedPlane, SeedStore};
 use linarb_smt::{check_sat, Budget, IncrementalSolver, Lit, SmtResult};
@@ -211,13 +211,6 @@ pub struct SolverConfig {
     /// drained at every round boundary. `None` (the default) keeps the
     /// solver fully deterministic.
     pub seed_channel: Option<Arc<dyn CrossSeed>>,
-    /// Warm-start state captured from a previous solve of a
-    /// structurally similar system (see [`SolveSnapshot`]): negative
-    /// samples and seed directions are imported up front, and
-    /// persistent clause contexts are adopted for clauses that are
-    /// value-identical to their snapshotted counterparts. `None` (the
-    /// default) starts cold.
-    pub warm_start: Option<Arc<SolveSnapshot>>,
 }
 
 /// The `LINARB_NO_SEED` default for [`SolverConfig::seeding`].
@@ -241,7 +234,6 @@ impl SolverConfig {
             seed_atoms: Vec::new(),
             progress: None,
             seed_channel: None,
-            warm_start: None,
         }
     }
 
@@ -279,13 +271,6 @@ impl SolverConfig {
         self.seed_channel = Some(channel);
         self
     }
-
-    /// Attaches warm-start state from a previous solve (see
-    /// [`SolverConfig::warm_start`]).
-    pub fn with_warm_start(mut self, snapshot: Arc<SolveSnapshot>) -> SolverConfig {
-        self.warm_start = Some(snapshot);
-        self
-    }
 }
 
 impl Default for SolverConfig {
@@ -298,15 +283,14 @@ impl fmt::Debug for SolverConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "SolverConfig {{ learner: {}, max_iterations: {}, oracle: {:?}, seeding: {}, seed_atoms: {}, progress: {}, seed_channel: {}, warm_start: {} }}",
+            "SolverConfig {{ learner: {}, max_iterations: {}, oracle: {:?}, seeding: {}, seed_atoms: {}, progress: {}, seed_channel: {} }}",
             self.learner.name(),
             self.max_iterations,
             self.oracle,
             self.seeding,
             self.seed_atoms.len(),
             self.progress.is_some(),
-            self.seed_channel.is_some(),
-            self.warm_start.is_some()
+            self.seed_channel.is_some()
         )
     }
 }
@@ -474,13 +458,6 @@ pub struct SolveStats {
     /// Negative samples accepted from the cross-engine bus (0 without
     /// a channel; excluded from determinism comparisons likewise).
     pub cross_seed_negatives: usize,
-    /// Persistent clause contexts adopted from a warm-start snapshot
-    /// (0 without [`SolverConfig::warm_start`]).
-    pub warm_contexts: usize,
-    /// Negative samples imported from a warm-start snapshot.
-    pub warm_negatives: usize,
-    /// Seed directions imported from a warm-start snapshot.
-    pub warm_seed_dirs: usize,
 }
 
 impl SolveStats {
@@ -505,9 +482,6 @@ impl SolveStats {
         report.set_counter("core.learn_memo_hits", self.learn_memo_hits as u64);
         report.set_counter("core.cross_seed_atoms", self.cross_seed_atoms as u64);
         report.set_counter("core.cross_seed_negatives", self.cross_seed_negatives as u64);
-        report.set_counter("core.warm_contexts", self.warm_contexts as u64);
-        report.set_counter("core.warm_negatives", self.warm_negatives as u64);
-        report.set_counter("core.warm_seed_dirs", self.warm_seed_dirs as u64);
     }
 
     /// The statistics as a standalone JSON report.
@@ -527,7 +501,6 @@ impl SolveStats {
 /// under an activation literal and cached here by structural equality;
 /// re-checking the clause under a partially-changed interpretation
 /// re-assumes cached guards and encodes only the genuinely new pieces.
-#[derive(Clone)]
 struct ClauseContext {
     solver: IncrementalSolver,
     guards: HashMap<Formula, Lit>,
@@ -555,112 +528,6 @@ impl ClauseContext {
             guards: HashMap::new(),
             guard_dirs: HashMap::new(),
             last_countermodel: None,
-        }
-    }
-}
-
-/// Warm-start state captured from a finished solve — the PR 2
-/// persistence (per-clause DPLL(T) contexts with their learned
-/// clauses, guard caches and saved branching state) plus the negative
-/// sample stores and the harvested seed directions.
-/// [`CegarSolver::snapshot`] captures it; [`SolverConfig::with_warm_start`]
-/// replays it into a new solve, typically of a *different but
-/// structurally similar* system (the serve daemon's near-miss tier).
-///
-/// Soundness: negatives only bias the learner (every `Sat` verdict is
-/// still oracle-verified clause by clause, and `Unsat` derivations
-/// are built exclusively from positives derived in-system), seed
-/// directions are purely advisory, and a context is adopted only for
-/// a clause that is value-identical to its snapshotted origin
-/// (constraint, body applications, head — ids aside), so the
-/// context's permanent assertions encode exactly the new clause.
-#[derive(Clone, Default)]
-pub struct SolveSnapshot {
-    /// Origin clause (for the adoption equality check) and its
-    /// persistent context.
-    contexts: Vec<(Clause, ClauseContext)>,
-    /// Negative samples per predicate.
-    pub negatives: Vec<(PredId, Sample)>,
-    /// Seed-store directions per predicate.
-    pub seed_dirs: Vec<(PredId, Vec<BigInt>)>,
-}
-
-/// Structural clause equality ignoring the id — the warm-start
-/// adoption criterion.
-fn clause_eq_mod_id(a: &Clause, b: &Clause) -> bool {
-    a.constraint == b.constraint && a.body_preds == b.body_preds && a.head == b.head
-}
-
-impl SolveSnapshot {
-    /// Whether the snapshot carries any state at all.
-    pub fn is_empty(&self) -> bool {
-        self.contexts.is_empty() && self.negatives.is_empty() && self.seed_dirs.is_empty()
-    }
-
-    /// Number of snapshotted clause contexts.
-    pub fn num_contexts(&self) -> usize {
-        self.contexts.len()
-    }
-
-    /// Rewrites every predicate reference through `map` (producer id →
-    /// consumer id), dropping entries whose predicate has no image —
-    /// the bridge for transplanting a snapshot onto a different,
-    /// structurally matched system (canonical indices on both sides
-    /// define the map). Clause variables are left untouched: the
-    /// adoption equality check in [`CegarSolver::new`] decides clause
-    /// by clause whether a context still applies verbatim.
-    pub fn remap_preds(&self, map: &HashMap<PredId, PredId>) -> SolveSnapshot {
-        let remap_app = |app: &PredApp| -> Option<PredApp> {
-            map.get(&app.pred).map(|&p| PredApp::new(p, app.args.clone()))
-        };
-        let mut contexts = Vec::new();
-        'ctx: for (clause, ctx) in &self.contexts {
-            let mut body = Vec::with_capacity(clause.body_preds.len());
-            for app in &clause.body_preds {
-                match remap_app(app) {
-                    Some(a) => body.push(a),
-                    None => continue 'ctx,
-                }
-            }
-            let head = match &clause.head {
-                ClauseHead::Pred(app) => match remap_app(app) {
-                    Some(a) => ClauseHead::Pred(a),
-                    None => continue 'ctx,
-                },
-                ClauseHead::Goal(g) => ClauseHead::Goal(g.clone()),
-            };
-            let mut ctx = ctx.clone();
-            // Guard bookkeeping carries predicate ids for seed-core
-            // accounting; remap it too (dropping unmapped entries —
-            // only heuristics read it).
-            ctx.guard_dirs = ctx
-                .guard_dirs
-                .iter()
-                .map(|(lit, dirs)| {
-                    let dirs = dirs
-                        .iter()
-                        .filter_map(|(p, d)| map.get(p).map(|&np| (np, d.clone())))
-                        .collect();
-                    (*lit, dirs)
-                })
-                .collect();
-            contexts.push((
-                Clause { id: clause.id, body_preds: body, constraint: clause.constraint.clone(), head },
-                ctx,
-            ));
-        }
-        SolveSnapshot {
-            contexts,
-            negatives: self
-                .negatives
-                .iter()
-                .filter_map(|(p, s)| map.get(p).map(|&np| (np, s.clone())))
-                .collect(),
-            seed_dirs: self
-                .seed_dirs
-                .iter()
-                .filter_map(|(p, d)| map.get(p).map(|&np| (np, d.clone())))
-                .collect(),
         }
     }
 }
@@ -776,13 +643,11 @@ pub struct CegarSolver<'a> {
 impl<'a> CegarSolver<'a> {
     /// Creates a solver for the given system.
     pub fn new(sys: &'a ChcSystem, config: SolverConfig) -> CegarSolver<'a> {
-        let mut data: HashMap<PredId, Dataset> = sys
+        let data: HashMap<PredId, Dataset> = sys
             .preds()
             .iter()
             .map(|p| (p.id, Dataset::new(p.arity())))
             .collect();
-        let mut stats = SolveStats::default();
-        let warm = config.warm_start.clone();
         let mut seeds = SeedStore::new();
         if config.seeding {
             harvest_clause_seeds(sys, &mut seeds);
@@ -794,41 +659,7 @@ impl<'a> CegarSolver<'a> {
             for (p, atom) in &config.seed_atoms {
                 seeds.add_atom(*p, atom, &sys.pred(*p).params);
             }
-            // Warm-start directions join before pairwise closure so
-            // imported planes combine with the syntactic harvest.
-            if let Some(ws) = &warm {
-                let importable: Vec<(PredId, Vec<BigInt>)> = ws
-                    .seed_dirs
-                    .iter()
-                    .filter(|(p, dir)| {
-                        (p.0 as usize) < sys.num_preds()
-                            && dir.len() == sys.pred(*p).params.len()
-                    })
-                    .cloned()
-                    .collect();
-                stats.warm_seed_dirs = seeds.import_dirs(&importable);
-            }
             seeds.combine_pairs();
-        }
-        let mut contexts = HashMap::new();
-        if let Some(ws) = &warm {
-            for (p, sample) in &ws.negatives {
-                if let Some(d) = data.get_mut(p) {
-                    if d.dim() == sample.len() && d.add_negative(sample.clone()) {
-                        stats.warm_negatives += 1;
-                    }
-                }
-            }
-            if config.oracle == OracleMode::Incremental {
-                for clause in sys.clauses() {
-                    if let Some((_, ctx)) =
-                        ws.contexts.iter().find(|(c, _)| clause_eq_mod_id(c, clause))
-                    {
-                        contexts.insert(clause.id, ctx.clone());
-                        stats.warm_contexts += 1;
-                    }
-                }
-            }
         }
         CegarSolver {
             sys,
@@ -836,44 +667,14 @@ impl<'a> CegarSolver<'a> {
             interp: Interpretation::new(),
             data,
             justif: HashMap::new(),
-            contexts,
-            stats,
+            contexts: HashMap::new(),
+            stats: SolveStats::default(),
             seeds,
             learn_memo: HashMap::new(),
             phase_oracle_us: 0,
             phase_resolve_us: 0,
             round: 0,
         }
-    }
-
-    /// Captures the warm-start state of this solve (see
-    /// [`SolveSnapshot`]): every persistent clause context paired with
-    /// its origin clause, the negative sample stores, and the seed
-    /// directions. Deterministic — entries are ordered by clause /
-    /// predicate id. Cheap relative to a solve (clones of already-built
-    /// state); call it after [`solve`](Self::solve) returns.
-    pub fn snapshot(&self) -> SolveSnapshot {
-        let mut contexts: Vec<(Clause, ClauseContext)> = self
-            .contexts
-            .iter()
-            .map(|(cid, ctx)| (self.sys.clause(*cid).clone(), ctx.clone()))
-            .collect();
-        contexts.sort_by_key(|(c, _)| c.id);
-        let mut negatives = Vec::new();
-        let mut preds: Vec<PredId> = self.data.keys().copied().collect();
-        preds.sort();
-        for p in &preds {
-            for sample in self.data[p].negatives() {
-                negatives.push((*p, sample.clone()));
-            }
-        }
-        let mut seed_dirs = Vec::new();
-        for p in self.sys.preds() {
-            for plane in self.seeds.planes(p.id) {
-                seed_dirs.push((p.id, plane.dir().to_vec()));
-            }
-        }
-        SolveSnapshot { contexts, negatives, seed_dirs }
     }
 
     /// Statistics of the last [`solve`](Self::solve) run.
@@ -1687,12 +1488,6 @@ mod tests {
             (other, _) => panic!("expected unsat, got {other:?}"),
         };
         assert_eq!(run(), run(), "derivation trees must match across runs");
-    }
-
-    #[test]
-    fn snapshots_are_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SolveSnapshot>();
     }
 }
 

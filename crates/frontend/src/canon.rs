@@ -43,8 +43,8 @@ use linarb_logic::{
 };
 
 /// The canonical form of a [`ChcSystem`], with the maps needed to
-/// carry cached artifacts (interpretations, derivations, solver
-/// snapshots) between any two systems sharing the form.
+/// carry cached artifacts (interpretations, derivations) between any
+/// two systems sharing the form.
 #[derive(Clone, Debug)]
 pub struct Canon {
     /// 128-bit FNV-1a of [`text`](Self::text), as 32 hex digits.
@@ -52,9 +52,6 @@ pub struct Canon {
     /// The full canonical serialization (the hash input). Exact-tier
     /// cache hits compare this, not the key.
     pub text: String,
-    /// Sorted per-clause shape hashes with atom constants masked —
-    /// the structural fingerprint used for near-miss neighbor search.
-    pub fingerprint: Vec<u64>,
     /// Arity of each canonical predicate, by canonical index.
     pub arities: Vec<usize>,
     /// Canonical predicate index → this system's [`PredId`].
@@ -76,25 +73,6 @@ impl Canon {
     /// artifacts).
     pub fn same_form(&self, other: &Canon) -> bool {
         self.text == other.text
-    }
-
-    /// Fingerprint overlap with `other`: the size of the multiset
-    /// intersection of per-clause shape hashes. Both fingerprints are
-    /// sorted, so this is a linear merge.
-    pub fn overlap(&self, other: &Canon) -> usize {
-        let (mut i, mut j, mut n) = (0, 0, 0);
-        while i < self.fingerprint.len() && j < other.fingerprint.len() {
-            match self.fingerprint[i].cmp(&other.fingerprint[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    n += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        n
     }
 }
 
@@ -155,7 +133,7 @@ fn number_clause_vars(clause: &Clause) -> VarNum {
     vn
 }
 
-fn ser_expr(e: &LinExpr, vn: &VarNum, mask: bool, out: &mut String) {
+fn ser_expr(e: &LinExpr, vn: &VarNum, out: &mut String) {
     // Terms sorted by canonical variable number, so the system-level
     // index order of the variables drops out.
     let mut terms: Vec<(u32, String)> = e
@@ -169,39 +147,31 @@ fn ser_expr(e: &LinExpr, vn: &VarNum, mask: bool, out: &mut String) {
         out.push_str(&n.to_string());
         out.push('+');
     }
-    if mask {
-        out.push('K');
-    } else {
-        out.push_str(&e.constant_term().to_string());
-    }
+    out.push_str(&e.constant_term().to_string());
 }
 
-fn ser_atom(a: &Atom, vn: &VarNum, mask: bool, out: &mut String) {
+fn ser_atom(a: &Atom, vn: &VarNum, out: &mut String) {
     out.push_str("A(");
-    ser_expr(a.expr(), vn, mask, out);
+    ser_expr(a.expr(), vn, out);
     out.push(')');
 }
 
-fn ser_mod(m: &ModAtom, vn: &VarNum, mask: bool, out: &mut String) {
+fn ser_mod(m: &ModAtom, vn: &VarNum, out: &mut String) {
     out.push_str("M(");
-    ser_expr(m.expr(), vn, mask, out);
+    ser_expr(m.expr(), vn, out);
     out.push(';');
     out.push_str(&m.modulus().to_string());
     out.push(';');
-    if mask {
-        out.push('K');
-    } else {
-        out.push_str(&m.residue().to_string());
-    }
+    out.push_str(&m.residue().to_string());
     out.push(')');
 }
 
-fn ser_formula(f: &Formula, vn: &VarNum, mask: bool, out: &mut String) {
+fn ser_formula(f: &Formula, vn: &VarNum, out: &mut String) {
     match f {
         Formula::True => out.push('T'),
         Formula::False => out.push('F'),
-        Formula::Atom(a) => ser_atom(a, vn, mask, out),
-        Formula::Mod(m) => ser_mod(m, vn, mask, out),
+        Formula::Atom(a) => ser_atom(a, vn, out),
+        Formula::Mod(m) => ser_mod(m, vn, out),
         Formula::And(fs) | Formula::Or(fs) => {
             out.push(if matches!(f, Formula::And(_)) { '&' } else { '|' });
             out.push('(');
@@ -211,7 +181,7 @@ fn ser_formula(f: &Formula, vn: &VarNum, mask: bool, out: &mut String) {
                 .iter()
                 .map(|g| {
                     let mut s = String::new();
-                    ser_formula(g, vn, mask, &mut s);
+                    ser_formula(g, vn, &mut s);
                     s
                 })
                 .collect();
@@ -224,18 +194,18 @@ fn ser_formula(f: &Formula, vn: &VarNum, mask: bool, out: &mut String) {
         }
         Formula::Not(g) => {
             out.push_str("!(");
-            ser_formula(g, vn, mask, out);
+            ser_formula(g, vn, out);
             out.push(')');
         }
     }
 }
 
-fn ser_app(app: &PredApp, labels: &[String], vn: &VarNum, mask: bool, out: &mut String) {
+fn ser_app(app: &PredApp, labels: &[String], vn: &VarNum, out: &mut String) {
     out.push('@');
     out.push_str(&labels[app.pred.0 as usize]);
     out.push('(');
     for arg in &app.args {
-        ser_expr(arg, vn, mask, out);
+        ser_expr(arg, vn, out);
         out.push(';');
     }
     out.push(')');
@@ -243,20 +213,20 @@ fn ser_app(app: &PredApp, labels: &[String], vn: &VarNum, mask: bool, out: &mut 
 
 /// Serializes one clause under the given predicate labels and its
 /// clause-local variable numbering.
-fn ser_clause(clause: &Clause, labels: &[String], vn: &VarNum, mask: bool) -> String {
+fn ser_clause(clause: &Clause, labels: &[String], vn: &VarNum) -> String {
     let mut out = String::new();
     out.push_str("B[");
     for app in &clause.body_preds {
-        ser_app(app, labels, vn, mask, &mut out);
+        ser_app(app, labels, vn, &mut out);
     }
     out.push_str("]C[");
-    ser_formula(&clause.constraint, vn, mask, &mut out);
+    ser_formula(&clause.constraint, vn, &mut out);
     out.push_str("]H[");
     match &clause.head {
-        ClauseHead::Pred(app) => ser_app(app, labels, vn, mask, &mut out),
+        ClauseHead::Pred(app) => ser_app(app, labels, vn, &mut out),
         ClauseHead::Goal(g) => {
             out.push_str("G:");
-            ser_formula(g, vn, mask, &mut out);
+            ser_formula(g, vn, &mut out);
         }
     }
     out.push(']');
@@ -301,7 +271,7 @@ pub fn canonicalize(sys: &ChcSystem) -> Canon {
         let strs: Vec<String> = clauses
             .iter()
             .enumerate()
-            .map(|(i, c)| ser_clause(c, &labels, &varnums[i], false))
+            .map(|(i, c)| ser_clause(c, &labels, &varnums[i]))
             .collect();
         sorted_idx = (0..clauses.len()).collect();
         sorted_idx.sort_by(|&a, &b| strs[a].cmp(&strs[b]).then(a.cmp(&b)));
@@ -334,16 +304,11 @@ pub fn canonicalize(sys: &ChcSystem) -> Canon {
             .collect();
     }
 
-    // Final pass: canonical clause order, text, maps, fingerprint.
+    // Final pass: canonical clause order, text, maps.
     let final_strs: Vec<String> = clauses
         .iter()
         .enumerate()
-        .map(|(i, c)| ser_clause(c, &labels, &varnums[i], false))
-        .collect();
-    let masked_strs: Vec<String> = clauses
-        .iter()
-        .enumerate()
-        .map(|(i, c)| ser_clause(c, &labels, &varnums[i], true))
+        .map(|(i, c)| ser_clause(c, &labels, &varnums[i]))
         .collect();
 
     // Recover each predicate's canonical number from its final label
@@ -381,10 +346,6 @@ pub fn canonicalize(sys: &ChcSystem) -> Canon {
         clause_vars.push(varnums[i].order.clone());
     }
 
-    let mut fingerprint: Vec<u64> =
-        masked_strs.iter().map(|s| fnv64(FNV_OFFSET, s.as_bytes())).collect();
-    fingerprint.sort_unstable();
-
     let key = format!(
         "{:016x}{:016x}",
         fnv64(FNV_OFFSET, text.as_bytes()),
@@ -394,7 +355,6 @@ pub fn canonicalize(sys: &ChcSystem) -> Canon {
     Canon {
         key,
         text,
-        fingerprint,
         arities,
         pred_of_canon,
         canon_of_pred,
@@ -428,7 +388,6 @@ mod tests {
         let b = canonicalize(&parse_chc(&renamed).unwrap());
         assert_eq!(a.key, b.key);
         assert!(a.same_form(&b));
-        assert_eq!(a.fingerprint, b.fingerprint);
     }
 
     #[test]
@@ -438,9 +397,6 @@ mod tests {
         let b = canonicalize(&parse_chc(&tweaked).unwrap());
         assert_ne!(a.key, b.key);
         assert!(!a.same_form(&b));
-        // Same shape though: the masked fingerprints still agree.
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.overlap(&b), a.fingerprint.len());
     }
 
     #[test]

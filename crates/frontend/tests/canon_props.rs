@@ -86,9 +86,6 @@ fn canonicalization_is_deterministic() {
         let b = canonicalize(&bench.system);
         assert_eq!(a.key, b.key, "{}: key not stable across runs", bench.name);
         assert_eq!(a.text, b.text);
-        assert_eq!(a.fingerprint, b.fingerprint);
-        // The fingerprint covers every clause.
-        assert_eq!(a.fingerprint.len(), bench.system.num_clauses(), "{}", bench.name);
     }
 }
 

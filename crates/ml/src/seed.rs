@@ -157,35 +157,6 @@ impl SeedStore {
         }
     }
 
-    /// Bulk-imports directions harvested elsewhere — a warm-start
-    /// snapshot, a cached neighbor's store — in the given order
-    /// (callers control determinism). Each entry goes through
-    /// [`add_dir`](Self::add_dir)'s canonicalization, dedup, and cap;
-    /// returns how many were admitted.
-    pub fn import_dirs(&mut self, dirs: &[(PredId, Vec<BigInt>)]) -> usize {
-        let mut admitted = 0;
-        for (pred, dir) in dirs {
-            if self.add_dir(*pred, dir.clone()) {
-                admitted += 1;
-            }
-        }
-        admitted
-    }
-
-    /// Every stored direction as `(pred, dir)` pairs, predicates in id
-    /// order — the export half of the warm-start round trip.
-    pub fn export_dirs(&self) -> Vec<(PredId, Vec<BigInt>)> {
-        let mut preds: Vec<PredId> = self.by_pred.keys().copied().collect();
-        preds.sort_by_key(|p| p.0);
-        let mut out = Vec::new();
-        for p in preds {
-            for plane in &self.by_pred[&p].planes {
-                out.push((p, plane.dir.clone()));
-            }
-        }
-        out
-    }
-
     /// The planes stored for `pred` (empty slice when none).
     pub fn planes(&self, pred: PredId) -> &[SeedPlane] {
         self.by_pred.get(&pred).map_or(&[], |e| e.planes.as_slice())

@@ -3,9 +3,9 @@
 //! A small, dependency-free thread pool for the solver stack. Design
 //! constraints, in order:
 //!
-//! 1. **Borrowed data.** Clause contexts, interpretations, and CHC
-//!    systems live on the caller's stack; none of them are `'static`.
-//!    Every primitive here is built on [`std::thread::scope`], so
+//! 1. **Borrowed data.** Parsed jobs, CHC systems and benchmark
+//!    suites live on the caller's stack; none of them are `'static`.
+//!    [`Pool::parallel_map`] is built on [`std::thread::scope`], so
 //!    tasks may borrow anything that outlives the call.
 //! 2. **Deterministic results.** [`Pool::parallel_map`] returns its
 //!    outputs in input order no matter which worker ran which task,
@@ -13,8 +13,8 @@
 //! 3. **No runtime state.** Workers are spawned per call and joined
 //!    before it returns. There is no global pool, no background
 //!    threads between calls, and nothing to shut down. For the
-//!    coarse-grained tasks this crate serves (SMT oracle checks in
-//!    the millisecond-to-second range) the per-call spawn cost is
+//!    coarse-grained tasks this crate serves (whole solves in the
+//!    millisecond-to-second range) the per-call spawn cost is
 //!    noise; in exchange, a `threads == 1` pool runs everything
 //!    inline on the caller's thread with zero overhead.
 //!
@@ -33,7 +33,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
@@ -66,7 +66,7 @@ fn record_panic(slot: &Mutex<Option<Payload>>, p: Payload) {
 
 /// A work-stealing thread pool of a fixed width.
 ///
-/// The pool itself owns no threads; each primitive spawns `threads - 1`
+/// The pool itself owns no threads; each call spawns `threads - 1`
 /// scoped helpers (the caller is worker 0) and joins them before
 /// returning. A pool of width 1 runs everything inline.
 #[derive(Debug)]
@@ -156,139 +156,11 @@ impl Pool {
             .map(|s| s.into_inner().unwrap().expect("pool: task result missing"))
             .collect()
     }
-
-    /// Runs two closures, potentially in parallel, and returns both
-    /// results. With a single-threaded pool both run inline, in order.
-    pub fn join<A, B, FA, FB>(&self, fa: FA, fb: FB) -> (A, B)
-    where
-        A: Send,
-        B: Send,
-        FA: FnOnce() -> A + Send,
-        FB: FnOnce() -> B + Send,
-    {
-        if self.threads <= 1 {
-            let a = fa();
-            let b = fb();
-            return (a, b);
-        }
-        thread::scope(|s| {
-            let hb = s.spawn(fb);
-            // Run `fa` here but defer its panic until `fb` has been
-            // joined, so a panicking `fa` never abandons the helper.
-            let ra = catch_unwind(AssertUnwindSafe(fa));
-            let rb = hb.join();
-            match (ra, rb) {
-                (Ok(a), Ok(b)) => (a, b),
-                (Err(p), _) => resume_unwind(p),
-                (_, Err(p)) => resume_unwind(p),
-            }
-        })
-    }
-
-    /// Opens a fork-join scope: `f` receives a [`Scope`] on which it
-    /// can [`Scope::spawn`] any number of tasks borrowing data from
-    /// outside the call. All tasks complete (workers + the calling
-    /// thread drain them cooperatively) before `scope` returns; the
-    /// first task panic is re-raised afterwards.
-    pub fn scope<'env, F, R>(&self, f: F) -> R
-    where
-        F: FnOnce(&Scope<'env>) -> R,
-    {
-        let scope = Scope {
-            queues: (0..self.threads)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            pending: AtomicUsize::new(0),
-            next: AtomicUsize::new(0),
-            panic: Mutex::new(None),
-        };
-        let done = AtomicBool::new(false);
-
-        let r = thread::scope(|s| {
-            let sref = &scope;
-            let dref = &done;
-            let helpers: Vec<_> = (1..self.threads)
-                .map(|w| s.spawn(move || sref.work(w, Some(dref))))
-                .collect();
-            let r = f(&scope);
-            // Help until every spawned task has finished. Tasks
-            // cannot spawn further tasks (a job can't borrow the
-            // scope it runs in), so pending == 0 is final.
-            scope.work(0, None);
-            done.store(true, Ordering::Release);
-            for h in helpers {
-                let _ = h.join();
-            }
-            r
-        });
-
-        if let Some(p) = scope.panic.into_inner().unwrap() {
-            resume_unwind(p);
-        }
-        r
-    }
-}
-
-type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// A fork-join scope handed to the closure of [`Pool::scope`]. Tasks
-/// spawned here may borrow anything that outlives the `scope` call.
-pub struct Scope<'env> {
-    queues: Vec<Mutex<VecDeque<Job<'env>>>>,
-    pending: AtomicUsize,
-    next: AtomicUsize,
-    panic: Mutex<Option<Payload>>,
-}
-
-impl<'env> Scope<'env> {
-    /// Queues a task. It runs on some worker (possibly the calling
-    /// thread) before the enclosing [`Pool::scope`] returns.
-    pub fn spawn<F>(&self, job: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        self.pending.fetch_add(1, Ordering::AcqRel);
-        let w = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        self.queues[w].lock().unwrap().push_back(Box::new(job));
-    }
-
-    /// Worker loop. Helpers (`done = Some(..)`) run until the scope
-    /// signals completion; the caller (`done = None`) helps until the
-    /// pending count hits zero.
-    fn work(&self, w: usize, done: Option<&AtomicBool>) {
-        loop {
-            match pop_or_steal(&self.queues, w) {
-                Some(job) => {
-                    if self.panic.lock().unwrap().is_none() {
-                        if let Err(p) = catch_unwind(AssertUnwindSafe(job)) {
-                            record_panic(&self.panic, p);
-                        }
-                    }
-                    self.pending.fetch_sub(1, Ordering::AcqRel);
-                }
-                None => match done {
-                    Some(flag) => {
-                        if flag.load(Ordering::Acquire) {
-                            break;
-                        }
-                        thread::yield_now();
-                    }
-                    None => {
-                        if self.pending.load(Ordering::Acquire) == 0 {
-                            break;
-                        }
-                        thread::yield_now();
-                    }
-                },
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
     use std::time::Duration;
 
     #[test]
@@ -351,79 +223,6 @@ mod tests {
         let payload = r.expect_err("panic should propagate to the caller");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
         assert_eq!(msg, "task seven exploded");
-    }
-
-    #[test]
-    fn scope_runs_all_spawned_tasks() {
-        let pool = Pool::new(3);
-        let counter = AtomicU32::new(0);
-        pool.scope(|s| {
-            for i in 0..50u32 {
-                let counter = &counter;
-                s.spawn(move || {
-                    counter.fetch_add(i, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), (0..50).sum::<u32>());
-    }
-
-    #[test]
-    fn nested_scopes() {
-        // A task spawned in an outer scope opens its own pool scope;
-        // result collection must nest.
-        let pool = Pool::new(2);
-        let inner_pool = Pool::new(2);
-        let total = AtomicU32::new(0);
-        pool.scope(|s| {
-            for _ in 0..4 {
-                let total = &total;
-                let inner_pool = &inner_pool;
-                s.spawn(move || {
-                    let parts = inner_pool.parallel_map(vec![1u32, 2, 3], |x| x * 10);
-                    total.fetch_add(parts.iter().sum::<u32>(), Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 4 * 60);
-    }
-
-    #[test]
-    fn scope_propagates_panics_after_draining() {
-        let pool = Pool::new(2);
-        let ran = AtomicU32::new(0);
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                s.spawn(|| panic!("scoped task failed"));
-                for _ in 0..8 {
-                    let ran = &ran;
-                    s.spawn(move || {
-                        ran.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }));
-        assert!(r.is_err(), "scope must re-raise the task panic");
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let pool = Pool::new(2);
-        let (a, b) = pool.join(|| 6 * 7, || "right".to_string());
-        assert_eq!(a, 42);
-        assert_eq!(b, "right");
-        let seq = Pool::new(1);
-        let (a, b) = seq.join(|| 1, || 2);
-        assert_eq!((a, b), (1, 2));
-    }
-
-    #[test]
-    fn join_propagates_right_panic() {
-        let pool = Pool::new(2);
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            pool.join(|| 1u32, || -> u32 { panic!("right side failed") })
-        }));
-        assert!(r.is_err());
     }
 
     #[test]

@@ -130,7 +130,6 @@ const REDUCE_STEP: u64 = 100;
 /// few decision levels) and are never removed.
 const GLUE_LBD: u32 = 2;
 
-#[derive(Clone)]
 struct ClauseInfo {
     lits: Vec<Lit>,
     /// Learned by conflict analysis or a theory hook (eligible for DB
@@ -170,13 +169,7 @@ pub trait TheoryHook {
 
 /// A CDCL SAT solver over clauses of [`Lit`]s.
 ///
-/// Cloning yields an independent solver with identical state (clause
-/// database, learned clauses, activities, saved phases): the clone and
-/// the original answer future queries identically. Warm-start
-/// snapshots of incremental oracle contexts rely on this.
-///
 /// See the [crate documentation](crate) for an example.
-#[derive(Clone)]
 pub struct SatSolver {
     clauses: Vec<ClauseInfo>,
     /// Watch lists indexed by literal code: clauses watching that literal.
@@ -213,7 +206,7 @@ pub struct SatSolver {
     /// lemmas accrete across checks, and a cumulative trigger lets the
     /// surviving DB ratchet upward between ever-rarer reductions.
     /// Deterministic solver state (never wall time), so reduction
-    /// points are identical across reruns and cloned solvers.
+    /// points are identical across reruns.
     reduce_first: u64,
     /// Per-reduction ramp added to [`Self::reduce_first`]; a struct
     /// field (not the [`REDUCE_STEP`] const) so tests can force tiny,
@@ -590,7 +583,7 @@ impl SatSolver {
     /// and clauses locked as the reason of a current assignment all
     /// survive. The ranking and the trigger depend only on
     /// deterministic solver state, so reduction points replay
-    /// identically on cloned solvers and across reruns.
+    /// identically across reruns.
     fn reduce_db(&mut self) {
         debug_assert!(self.trail_lim.is_empty(), "reduce_db needs decision level 0");
         debug_assert_eq!(self.qhead, self.trail.len(), "reduce_db needs full propagation");

@@ -25,7 +25,7 @@ fn main() {
     let cfg = ReplayConfig { variants_per_base: variants, ..ReplayConfig::default() };
     let out = run_replay(&bases, &cfg);
     println!(
-        "jobs {} | warm {:.2}s ({:.0}/s, p50 {}us p99 {}us, exact {} near {} miss {} vfail {}) | \
+        "jobs {} | warm {:.2}s ({:.0}/s, p50 {}us p99 {}us, exact {} miss {} vfail {}) | \
          cold {:.2}s ({:.0}/s) | speedup {:.2}x | mismatches {} | unknown warm {} cold {}",
         out.jobs,
         out.warm.wall_s,
@@ -33,7 +33,6 @@ fn main() {
         out.warm.p50_us,
         out.warm.p99_us,
         out.warm.exact_hits,
-        out.warm.near_hits,
         out.warm.misses,
         out.warm.verify_failures,
         out.cold.wall_s,

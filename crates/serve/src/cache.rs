@@ -1,34 +1,28 @@
-//! The two-tier invariant cache (DESIGN.md §15).
+//! The invariant cache (DESIGN.md §15).
 //!
 //! Entries are keyed by the canonical form of the solved system
-//! ([`linarb_frontend::Canon`]). Cached artifacts are stored in
+//! ([`linarb_frontend::Canon`]). Cached verdicts are stored in
 //! *canonical coordinates* — predicates by canonical index, variables
 //! by canonical (per-clause first-occurrence) number, interpretation
 //! formulas over canonical parameter positions — so they can be
 //! carried to any later system sharing the form, regardless of its
-//! names, declaration order, or clause order:
+//! names, declaration order, or clause order.
 //!
-//! * **Exact tier.** Lookup by 128-bit key, confirmed by comparing the
-//!   full canonical text (collisions cost a miss, never a wrong hit).
-//!   The cached verdict is translated into the submitting system's
-//!   coordinates and independently re-checked before being served.
-//! * **Near tier.** When no exact entry matches, the best neighbor by
-//!   per-clause fingerprint overlap donates its solver snapshot and
-//!   invariant atoms as a warm start. Warm-start material only biases
-//!   the search — verdicts still come from a full solve — so a poor
-//!   neighbor costs time, not soundness.
+//! Lookup is by 128-bit key, confirmed by comparing the full canonical
+//! text (collisions cost a miss, never a wrong hit). The cached
+//! verdict is translated into the submitting system's coordinates and
+//! independently re-checked before being served.
 //!
-//! The cache is bounded (FIFO eviction) and all iteration orders are
-//! deterministic (insertion order), keeping daemon behavior
-//! reproducible across runs and thread counts.
+//! The cache is bounded (FIFO eviction in insertion order), keeping
+//! daemon behavior reproducible across runs and thread counts.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use linarb_arith::BigInt;
 use linarb_frontend::Canon;
-use linarb_logic::{Atom, ChcSystem, Formula, Interpretation, Model, Var};
-use linarb_solver::{DerivationNode, SolveResult, SolveSnapshot};
+use linarb_logic::{ChcSystem, Formula, Interpretation, Model, Var};
+use linarb_solver::{DerivationNode, SolveResult};
 
 /// A memoized verdict in canonical coordinates.
 #[derive(Clone, Debug)]
@@ -58,36 +52,12 @@ pub struct CanonDeriv {
     pub children: Vec<CanonDeriv>,
 }
 
-/// Warm-start material donated to near-tier consumers.
-#[derive(Clone, Default)]
-pub struct WarmStart {
-    /// The producer's solver snapshot, still in the producer's
-    /// `PredId` space ([`SolveSnapshot::remap_preds`] translates it).
-    pub snapshot: SolveSnapshot,
-    /// Atoms of the producer's final invariants (Sat runs only), per
-    /// canonical predicate index, over canonical parameter variables.
-    pub atoms: Vec<(usize, Atom)>,
-}
-
-/// One cache entry: the canonical form, the verdict, and the solver
-/// state that produced it.
-#[derive(Clone)]
+/// One cache entry: the canonical form and its verdict.
 pub struct CacheEntry {
-    /// Name of the job that populated the entry (debugging only).
-    pub name: String,
     /// Full canonical text; exact hits compare this.
     pub text: String,
-    /// Sorted per-clause shape hashes for near-miss search.
-    pub fingerprint: Vec<u64>,
-    /// Canonical predicate arities; near-tier donors must match.
-    pub arities: Vec<usize>,
     /// The memoized verdict.
     pub verdict: CachedVerdict,
-    /// Producer canonical index → producer `PredId`, for translating
-    /// [`WarmStart::snapshot`] into a consumer's `PredId` space.
-    pub pred_of_canon: Vec<linarb_logic::PredId>,
-    /// Warm-start material for near-tier consumers.
-    pub warm: WarmStart,
 }
 
 /// Translates a fresh solve result into canonical coordinates for
@@ -198,53 +168,10 @@ fn deriv_from_canon(canon: &Canon, n: &CanonDeriv) -> Option<DerivationNode> {
     })
 }
 
-/// Collects the atoms of a cached Sat verdict as near-tier seed
-/// material: `(canonical predicate index, atom)` pairs.
-pub fn invariant_atoms(verdict: &CachedVerdict) -> Vec<(usize, Atom)> {
-    let CachedVerdict::Sat(formulas) = verdict else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for (ci, f) in formulas.iter().enumerate() {
-        collect_atoms(f, ci, &mut out);
-    }
-    out
-}
-
-fn collect_atoms(f: &Formula, ci: usize, out: &mut Vec<(usize, Atom)>) {
-    match f {
-        Formula::Atom(a) => out.push((ci, a.clone())),
-        Formula::And(fs) | Formula::Or(fs) => {
-            for g in fs {
-                collect_atoms(g, ci, out);
-            }
-        }
-        Formula::Not(g) => collect_atoms(g, ci, out),
-        Formula::True | Formula::False | Formula::Mod(_) => {}
-    }
-}
-
-fn overlap(a: &[u64], b: &[u64]) -> usize {
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
-}
-
 /// The bounded, deterministic entry store.
 pub struct InvariantCache {
     by_key: HashMap<String, Arc<CacheEntry>>,
-    /// Keys in insertion order: FIFO eviction and deterministic
-    /// near-tier scans.
+    /// Keys in insertion order, for FIFO eviction.
     order: VecDeque<String>,
     cap: usize,
 }
@@ -265,31 +192,9 @@ impl InvariantCache {
         self.order.is_empty()
     }
 
-    /// Exact-tier lookup: key match confirmed by full canonical text
-    /// comparison.
+    /// Lookup: key match confirmed by full canonical text comparison.
     pub fn exact(&self, canon: &Canon) -> Option<Arc<CacheEntry>> {
         self.by_key.get(&canon.key).filter(|e| e.text == canon.text).cloned()
-    }
-
-    /// Near-tier lookup: the entry with the highest fingerprint
-    /// overlap fraction, provided it reaches `min_frac` of the larger
-    /// fingerprint and its canonical arities match (snapshot predicate
-    /// remapping requires aligned signatures). Ties keep the earliest
-    /// inserted entry, so results do not depend on hash order.
-    pub fn nearest(&self, canon: &Canon, min_frac: f64) -> Option<Arc<CacheEntry>> {
-        let mut best: Option<(f64, Arc<CacheEntry>)> = None;
-        for key in &self.order {
-            let e = &self.by_key[key];
-            if e.arities != canon.arities || e.text == canon.text {
-                continue;
-            }
-            let denom = e.fingerprint.len().max(canon.fingerprint.len()).max(1);
-            let frac = overlap(&e.fingerprint, &canon.fingerprint) as f64 / denom as f64;
-            if frac >= min_frac && best.as_ref().map_or(true, |(b, _)| frac > *b) {
-                best = Some((frac, Arc::clone(e)));
-            }
-        }
-        best.map(|(_, e)| e)
     }
 
     /// Inserts (or replaces) the entry for `key`, evicting the oldest

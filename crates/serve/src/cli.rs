@@ -23,9 +23,8 @@ options:
   --timeout-ms <n>                  per-job budget (default 30000)
   --engine <name>                   solve with a single portfolio
                                     engine instead of the in-daemon
-                                    CEGAR path (disables warm starts)
+                                    CEGAR path
   --no-cache                        disable the invariant cache
-  --no-near                         disable the near-miss tier
   --cache-cap <n>                   max cache entries (default 4096)
 
 the daemon prints one `ready` line once listening and exits on a
@@ -84,10 +83,6 @@ pub fn serve_main(args: &[String]) -> i32 {
                 }
                 "--no-cache" => {
                     cfg.cache = false;
-                    Ok(())
-                }
-                "--no-near" => {
-                    cfg.near = false;
                     Ok(())
                 }
                 "--cache-cap" => {

@@ -11,21 +11,18 @@
 //! loop: the parallelism budget is spent across jobs, not inside one
 //! solve, so per-job trajectories are identical at every pool width.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use linarb_frontend::{canonicalize, Canon};
-use linarb_logic::{parse_chc, Atom, ChcSystem, PredId, Var};
+use linarb_logic::{parse_chc, ChcSystem};
 use linarb_pool::Pool;
 use linarb_portfolio::{run_engine, Certificate, EngineKind, EngineVerdict};
 use linarb_smt::Budget;
-use linarb_solver::{
-    verify_interpretation, CegarSolver, OracleMode, SolveResult, SolveSnapshot, SolverConfig,
-};
+use linarb_solver::{verify_interpretation, CegarSolver, SolveResult, SolverConfig};
 use linarb_trace::json_string;
 
-use crate::cache::{self, CacheEntry, InvariantCache, WarmStart};
+use crate::cache::{self, CacheEntry, InvariantCache};
 use crate::proto::JobSpec;
 
 /// Configuration of a [`ServeCore`].
@@ -40,13 +37,9 @@ pub struct ServeConfig {
     pub cache: bool,
     /// Maximum number of cache entries (FIFO eviction beyond).
     pub cache_cap: usize,
-    /// Near-miss tier switch.
-    pub near: bool,
-    /// Minimum fingerprint-overlap fraction for a near-tier donor.
-    pub near_min_frac: f64,
-    /// `None` solves with the in-crate CEGAR engine (which can donate
-    /// and consume warm-start snapshots); `Some(kind)` dispatches
-    /// through the portfolio's [`run_engine`] instead.
+    /// `None` solves with the in-crate CEGAR engine under
+    /// [`SolverConfig::default`]; `Some(kind)` dispatches through the
+    /// portfolio's [`run_engine`] instead.
     pub engine: Option<EngineKind>,
     /// BMC unroll cap forwarded to portfolio engines.
     pub bmc_max_depth: usize,
@@ -66,8 +59,6 @@ impl Default for ServeConfig {
             timeout: Duration::from_secs(30),
             cache: true,
             cache_cap: 4096,
-            near: true,
-            near_min_frac: 0.5,
             engine: None,
             bmc_max_depth: 256,
         }
@@ -111,9 +102,7 @@ impl JobInput {
 pub enum Tier {
     /// Memoized verdict served after re-verification.
     Exact,
-    /// Fresh solve warm-started from the closest neighbor.
-    Near,
-    /// Fresh cold solve (no usable neighbor).
+    /// Cold solve (no cached entry for the canonical form).
     Miss,
     /// Cache disabled.
     Off,
@@ -124,7 +113,6 @@ impl Tier {
     pub fn label(self) -> &'static str {
         match self {
             Tier::Exact => "exact",
-            Tier::Near => "near",
             Tier::Miss => "miss",
             Tier::Off => "off",
         }
@@ -193,9 +181,7 @@ pub struct ServeStats {
     pub jobs: u64,
     /// Exact-tier hits served.
     pub exact_hits: u64,
-    /// Near-tier warm starts.
-    pub near_hits: u64,
-    /// Cold solves (cache enabled, no usable neighbor).
+    /// Cold solves (cache enabled, no cached entry).
     pub misses: u64,
     /// Exact-tier candidates that failed re-verification (served as
     /// fresh solves instead).
@@ -214,12 +200,10 @@ impl ServeStats {
     /// Renders the counters as a JSON object body (no `op` field).
     pub fn render(&self, cache_entries: usize) -> String {
         format!(
-            "{{\"jobs\":{},\"exact_hits\":{},\"near_hits\":{},\"misses\":{},\
-             \"verify_failures\":{},\"errors\":{},\"sat\":{},\"unsat\":{},\
-             \"unknown\":{},\"cache_entries\":{}}}",
+            "{{\"jobs\":{},\"exact_hits\":{},\"misses\":{},\"verify_failures\":{},\
+             \"errors\":{},\"sat\":{},\"unsat\":{},\"unknown\":{},\"cache_entries\":{}}}",
             self.jobs,
             self.exact_hits,
-            self.near_hits,
             self.misses,
             self.verify_failures,
             self.errors,
@@ -338,7 +322,6 @@ impl ServeCore {
             }
             match outcome.tier {
                 Tier::Exact => stats.exact_hits += 1,
-                Tier::Near => stats.near_hits += 1,
                 Tier::Miss => stats.misses += 1,
                 Tier::Off => {}
             }
@@ -422,57 +405,13 @@ impl ServeCore {
             }
         }
 
-        // Near tier: translate the best neighbor's solver state into
-        // this system's predicate space and warm-start the solve.
-        let mut warm: Option<Arc<SolveSnapshot>> = None;
-        let mut seed_atoms: Vec<(PredId, Atom)> = Vec::new();
-        let mut tier = if self.cfg.cache { Tier::Miss } else { Tier::Off };
-        if self.cfg.cache && self.cfg.near {
-            let near = self.cache.lock().unwrap().nearest(&canon, self.cfg.near_min_frac);
-            if let Some(entry) = near {
-                let mut pred_map: HashMap<PredId, PredId> = HashMap::new();
-                for (ci, producer) in entry.pred_of_canon.iter().enumerate() {
-                    if let Some(consumer) = canon.pred_of_canon.get(ci) {
-                        pred_map.insert(*producer, *consumer);
-                    }
-                }
-                let snap = entry.warm.snapshot.remap_preds(&pred_map);
-                if !snap.is_empty() {
-                    warm = Some(Arc::new(snap));
-                }
-                for (ci, atom) in &entry.warm.atoms {
-                    if let Some(pid) = canon.pred_of_canon.get(*ci) {
-                        let params = &sys.pred(*pid).params;
-                        let map: HashMap<Var, Var> = params
-                            .iter()
-                            .enumerate()
-                            .map(|(j, v)| (Var::from_index(j as u32), *v))
-                            .collect();
-                        seed_atoms.push((*pid, atom.rename(&map)));
-                    }
-                }
-                if warm.is_some() || !seed_atoms.is_empty() {
-                    tier = Tier::Near;
-                }
-            }
-        }
-
-        let (result, snapshot, detail) = self.run_solver(&sys, warm, seed_atoms, &budget);
+        let tier = if self.cfg.cache { Tier::Miss } else { Tier::Off };
+        let (result, detail) = self.run_solver(&sys, &budget);
 
         // Memoize definite verdicts (in canonical coordinates).
         let entry = if self.cfg.cache {
-            cache::cache_verdict(&canon, &sys, &result).map(|cv| {
-                let atoms = cache::invariant_atoms(&cv);
-                let entry = CacheEntry {
-                    name: name.clone(),
-                    text: canon.text.clone(),
-                    fingerprint: canon.fingerprint.clone(),
-                    arities: canon.arities.clone(),
-                    verdict: cv,
-                    pred_of_canon: canon.pred_of_canon.clone(),
-                    warm: WarmStart { snapshot: snapshot.unwrap_or_default(), atoms },
-                };
-                (canon.key.clone(), entry)
+            cache::cache_verdict(&canon, &sys, &result).map(|verdict| {
+                (canon.key.clone(), CacheEntry { text: canon.text.clone(), verdict })
             })
         } else {
             None
@@ -490,52 +429,36 @@ impl ServeCore {
         (outcome, Some(FreshSolve { entry, verify_failed }))
     }
 
-    fn run_solver(
-        &self,
-        sys: &ChcSystem,
-        warm: Option<Arc<SolveSnapshot>>,
-        seed_atoms: Vec<(PredId, Atom)>,
-        budget: &Budget,
-    ) -> (SolveResult, Option<SolveSnapshot>, String) {
+    /// Cold solve: the in-crate CEGAR loop under the same
+    /// [`SolverConfig::default`] the CLI uses, or the configured
+    /// portfolio engine.
+    fn run_solver(&self, sys: &ChcSystem, budget: &Budget) -> (SolveResult, String) {
         match self.cfg.engine {
             None | Some(EngineKind::Cegar) => {
-                let mut config = SolverConfig::default()
-                    .with_oracle(OracleMode::Incremental)
-                    .with_seed_atoms(seed_atoms);
-                if let Some(ws) = warm {
-                    config = config.with_warm_start(ws);
-                }
-                let mut solver = CegarSolver::new(sys, config);
-                let result = solver.solve(budget);
-                let snapshot = match &result {
-                    SolveResult::Unknown(_) => None,
-                    _ => Some(solver.snapshot()),
-                };
+                let result = CegarSolver::new(sys, SolverConfig::default()).solve(budget);
                 let detail = match &result {
                     SolveResult::Unknown(reason) => format!("{reason:?}"),
                     _ => String::new(),
                 };
-                (result, snapshot, detail)
+                (result, detail)
             }
             Some(kind) => {
                 let verdict = run_engine(kind, sys, budget, None, self.cfg.bmc_max_depth);
                 match verdict {
                     EngineVerdict::Sat(Certificate::Invariant(interp)) => {
-                        (SolveResult::Sat(interp), None, String::new())
+                        (SolveResult::Sat(interp), String::new())
                     }
                     EngineVerdict::Unsat(Certificate::Derivation(tree)) => {
-                        (SolveResult::Unsat(tree), None, String::new())
+                        (SolveResult::Unsat(tree), String::new())
                     }
                     EngineVerdict::Unknown(reason) => (
                         SolveResult::Unknown(linarb_solver::UnknownReason::SmtUnknown),
-                        None,
                         reason,
                     ),
                     // Engines never cross certificate kinds; treat a
                     // mismatch as unknown rather than trusting it.
                     _ => (
                         SolveResult::Unknown(linarb_solver::UnknownReason::SmtUnknown),
-                        None,
                         "certificate kind mismatch".to_string(),
                     ),
                 }
@@ -572,7 +495,3 @@ fn verdict_label(r: &SolveResult) -> &'static str {
         SolveResult::Unknown(_) => "unknown",
     }
 }
-
-// `Canon` appears in this module's docs.
-#[doc(hidden)]
-pub type _CanonRef = Canon;

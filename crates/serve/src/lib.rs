@@ -2,11 +2,9 @@
 //! caching and batch scheduling (DESIGN.md §15).
 //!
 //! Verification workloads are repetitive: CI re-submits the same CHC
-//! systems on every push, and small program edits yield systems that
-//! are *structurally* near-identical to ones already solved. A
-//! one-shot CLI pays full price every time. This crate keeps the
-//! solver resident and exploits that repetition with a two-tier
-//! persistent cache keyed on canonical CHC forms
+//! systems on every push, often renamed or reordered. A one-shot CLI
+//! pays full price every time. This crate keeps the solver resident
+//! and caches verdicts keyed on canonical CHC forms
 //! ([`linarb_frontend::canonicalize`]):
 //!
 //! * **Exact tier.** Systems whose canonical *text* matches a cached
@@ -15,12 +13,8 @@
 //!   [`linarb_solver::DerivationNode::replay`] for UNSAT). A served
 //!   hit is therefore never trusted blindly — staleness or a
 //!   canonicalization bug costs a cache miss, not soundness.
-//! * **Near tier.** Systems with no exact hit are matched to the
-//!   closest cached neighbor by structural fingerprint overlap, and
-//!   the neighbor's solver state — seed directions, learner
-//!   negatives, per-clause incremental contexts
-//!   ([`linarb_solver::SolveSnapshot`]) and invariant atoms — warm
-//!   starts the fresh solve.
+//! * **Miss.** Everything else is a cold solve, built exactly as the
+//!   CLI builds it (`CegarSolver` under `SolverConfig::default()`).
 //!
 //! The daemon ([`server`]) speaks length-prefixed JSON frames
 //! ([`linarb_trace::frame`]) over a Unix or TCP socket; batches are

@@ -53,7 +53,7 @@ const FRESH_VAR_BASE: u32 = 1 << 28;
 
 /// A persistent DPLL(T) solving context. See the [module
 /// documentation](self) for the lifecycle.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct IncrementalSolver {
     enc: Encoder,
     /// Long-lived theory context for the online engine: each candidate
@@ -62,8 +62,8 @@ pub struct IncrementalSolver {
     /// stays warm across assignments *and* across checks.
     theory: TheoryLia,
     /// Online DPLL(T) (theory consulted inside the SAT search) vs. the
-    /// retained offline loop (fresh theory per full model). Defaults to
-    /// online unless `LINARB_SMT_OFFLINE=1`.
+    /// retained offline loop (fresh theory per full model). Always
+    /// online unless [`set_online`](Self::set_online) says otherwise.
     online: bool,
     /// Monotone supply of fresh `Var` indices for mod-lowering: shared
     /// across all asserts so two formulas never collide.
@@ -95,7 +95,7 @@ impl IncrementalSolver {
         IncrementalSolver {
             enc: Encoder::new(),
             theory: TheoryLia::new(),
-            online: !crate::online::offline_mode(),
+            online: true,
             next_fresh: FRESH_VAR_BASE,
             permanent_atoms: HashSet::new(),
             guard_atoms: HashMap::new(),
@@ -104,8 +104,8 @@ impl IncrementalSolver {
         }
     }
 
-    /// Forces the offline (rebuild-per-model) oracle path for this
-    /// context, regardless of the process-wide default. Used by the
+    /// Switches this context between the online engine (the default)
+    /// and the offline rebuild-per-model reference loop. Used by the
     /// differential tests.
     pub fn set_online(&mut self, online: bool) {
         self.online = online;
@@ -626,8 +626,8 @@ mod tests {
 
     #[test]
     fn incremental_solver_is_send() {
-        // Warm-start snapshots carry whole contexts to serve worker
-        // threads; the solver (and everything it owns) must be Send.
+        // A context owns no thread-bound state, so a solver built on one
+        // thread may be handed to another.
         fn assert_send<T: Send>() {}
         assert_send::<IncrementalSolver>();
     }

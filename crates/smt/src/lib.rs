@@ -177,27 +177,22 @@ fn lower_mods_from(f: &Formula, next: &mut u32) -> Formula {
 /// Decides satisfiability of a QF_LIA formula (with optional
 /// divisibility atoms), producing an integer model when satisfiable.
 pub fn check_sat(f: &Formula, budget: &Budget) -> SmtResult {
-    use linarb_trace::Level;
-    let mut span = linarb_trace::span(Level::Debug, "smt", "smt.check_sat");
-    let mut rounds = 0u64;
-    let result = check_sat_inner(f, budget, &mut rounds, online::offline_mode());
-    if span.active() {
-        span.record("rounds", rounds);
-        span.record("result", result.label());
-    }
-    result
+    check_sat_traced(f, budget, false)
 }
 
 /// The pre-online reference oracle: identical pipeline, but it tears
 /// the theory context down after every complete boolean assignment and
 /// restarts the SAT search from the top. Kept for differential testing
-/// against the online engine; `LINARB_SMT_OFFLINE=1` routes
-/// [`check_sat`] here process-wide.
+/// against the online engine.
 pub fn check_sat_offline(f: &Formula, budget: &Budget) -> SmtResult {
+    check_sat_traced(f, budget, true)
+}
+
+fn check_sat_traced(f: &Formula, budget: &Budget, offline: bool) -> SmtResult {
     use linarb_trace::Level;
     let mut span = linarb_trace::span(Level::Debug, "smt", "smt.check_sat");
     let mut rounds = 0u64;
-    let result = check_sat_inner(f, budget, &mut rounds, true);
+    let result = check_sat_inner(f, budget, &mut rounds, offline);
     if span.active() {
         span.record("rounds", rounds);
         span.record("result", result.label());

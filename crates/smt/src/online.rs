@@ -115,15 +115,3 @@ impl TheoryHook for LiaHook<'_> {
         response
     }
 }
-
-/// Whether the retained offline (rebuild-per-model) oracle is forced
-/// via the `LINARB_SMT_OFFLINE` environment variable. Read once per
-/// process; CI runs the whole suite under both oracle paths with it.
-pub(crate) fn offline_mode() -> bool {
-    static OFFLINE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *OFFLINE.get_or_init(|| {
-        std::env::var("LINARB_SMT_OFFLINE")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false)
-    })
-}

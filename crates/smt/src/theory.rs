@@ -54,7 +54,7 @@ pub enum TheoryVerdict {
 ///     other => panic!("expected feasible, got {other:?}"),
 /// }
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct TheoryLia {
     simplex: Simplex,
     cols: HashMap<Var, usize>,

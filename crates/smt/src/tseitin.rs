@@ -16,7 +16,7 @@ use std::collections::HashMap;
 /// re-asserts a predicate interpretation that only partially changed —
 /// reuses the existing gates and their clauses instead of growing the
 /// solver.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct Encoder {
     /// The underlying SAT solver.
     pub sat: SatSolver,

@@ -20,13 +20,6 @@ echo "== tests (LINARB_THREADS=4) =="
 # scheduling dependence in one of those job-level parallel paths.
 LINARB_THREADS=4 cargo test -q --offline --workspace
 
-echo "== tests (offline oracle path, LINARB_SMT_OFFLINE=1) =="
-# The whole suite must also hold with the SMT engine forced back to
-# the pre-online rebuild-per-model oracle: the two engines are
-# observationally equivalent, and the offline path stays the reference
-# implementation for the differential gate below.
-LINARB_SMT_OFFLINE=1 cargo test -q --offline --workspace
-
 echo "== tests (seeding disabled, LINARB_NO_SEED=1) =="
 # The whole suite must hold with symbolic seeding forced off: seeding
 # is a heuristic accelerator for the learner, never a soundness or

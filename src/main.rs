@@ -36,7 +36,8 @@ options:
   --threads <n>                   portfolio race width (default 1 =
                                   sequential time slicing; env
                                   LINARB_THREADS); requires --engine
-  --oracle <incremental|fresh>    SMT oracle mode (default incremental)
+  --oracle <incremental|fresh>    override the solver's default SMT
+                                  oracle mode
   --no-dt                         disable decision-tree generalization
   --profile                       aggregate the span tree into a
                                   hierarchical self-profile; print a
@@ -72,7 +73,7 @@ struct Cli {
     trace_level: Level,
     trace_out: Option<String>,
     stats: bool,
-    oracle: OracleMode,
+    oracle: Option<OracleMode>,
     threads: Option<usize>,
     no_dt: bool,
     profile: bool,
@@ -91,7 +92,7 @@ fn parse_args() -> Result<Cli, String> {
         trace_level: Level::Off,
         trace_out: None,
         stats: false,
-        oracle: OracleMode::Incremental,
+        oracle: None,
         threads: None,
         no_dt: false,
         profile: false,
@@ -135,8 +136,8 @@ fn parse_args() -> Result<Cli, String> {
             "--stats" => cli.stats = true,
             "--oracle" => {
                 cli.oracle = match value("--oracle")?.as_str() {
-                    "incremental" => OracleMode::Incremental,
-                    "fresh" => OracleMode::Fresh,
+                    "incremental" => Some(OracleMode::Incremental),
+                    "fresh" => Some(OracleMode::Fresh),
                     other => return Err(format!("bad --oracle mode `{other}`")),
                 };
             }
@@ -280,7 +281,10 @@ fn main() -> ExitCode {
     if cli.no_dt {
         learn.use_decision_tree = false;
     }
-    let mut config = SolverConfig::with_learn_config(learn).with_oracle(cli.oracle);
+    let mut config = SolverConfig::with_learn_config(learn);
+    if let Some(oracle) = cli.oracle {
+        config = config.with_oracle(oracle);
+    }
     if let Some(n) = cli.max_iterations {
         config.max_iterations = n;
     }
