@@ -44,7 +44,7 @@ use linarb_portfolio::{solve_portfolio, PortfolioConfig};
 use linarb_serve::replay::{run_replay, ReplayConfig};
 use linarb_smt::Budget;
 use linarb_solver::{CegarSolver, OracleMode, SolveResult, SolverConfig};
-use linarb_suite::{even_odd, fibo_unsafe, fig1, program_a, program_c_fibo};
+use linarb_suite::{even_odd, fibo_unsafe, fig1, program_c_fibo};
 use linarb_trace::alloc::{self, AllocStats};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -76,8 +76,9 @@ struct ModeRun {
     db_reductions: u64,
     learned_db_size: usize,
     /// Learner-phase breakdown: where `core.learner` time goes (SVM
-    /// iterations, decision-tree construction, rationalization) and
-    /// how much work symbolic seeding displaced.
+    /// iterations, decision-tree construction, rationalization), plus
+    /// the seed planes harvested (`seeded_atoms`) and the classifier
+    /// runs they displaced (`seed_hits`).
     svm_s: f64,
     dtree_s: f64,
     rationalize_s: f64,
@@ -87,8 +88,6 @@ struct ModeRun {
     seed_harvest_s: f64,
     seeded_atoms: usize,
     seed_hits: u64,
-    seeds_pruned: usize,
-    learn_memo_hits: usize,
     /// Allocation counters over the mode run (all-zero / disabled
     /// unless built with `count-alloc`).
     alloc: AllocStats,
@@ -116,8 +115,6 @@ fn run_mode(mode: OracleMode, suite: &[linarb_suite::Benchmark], timeout: Durati
         seed_harvest_s: 0.0,
         seeded_atoms: 0,
         seed_hits: 0,
-        seeds_pruned: 0,
-        learn_memo_hits: 0,
         alloc: AllocStats::default(),
     };
     let alloc_before = alloc::stats();
@@ -162,8 +159,6 @@ fn run_mode(mode: OracleMode, suite: &[linarb_suite::Benchmark], timeout: Durati
         run.learned_db_size += stats.learned_db_size;
         run.seeded_atoms += stats.seeded_atoms;
         run.seed_hits += stats.seed_hits;
-        run.seeds_pruned += stats.seeds_pruned;
-        run.learn_memo_hits += stats.learn_memo_hits;
         run.per_bench.push((b.name.clone(), elapsed, verdict));
         eprintln!(
             "  {:24} {:8} {:>9.3}s  checks {:4} (skipped {:3})",
@@ -312,45 +307,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // A selection that exercises the incremental machinery: loop
-    // invariants needing many refinements (fig1, program_a, jm2006,
-    // hhk2008), recursion (fibo, even_odd), an unsat instance
-    // (fibo_unsafe), and quick sanity cases. `program_a` appears in
-    // both its mini-C form and the paper's CHC-direct form — the two
-    // encodings stress the oracle quite differently.
-    let program_a_chc = linarb_suite::Benchmark::from_chc(
-        "program_a_chc",
-        linarb_suite::Category::Paper,
-        linarb_suite::Expected::Safe,
-        r#"
-        (declare-fun inv (Int Int) Bool)
-        (assert (forall ((x Int) (y Int)) (=> (= x 0) (inv x y))))
-        (assert (forall ((x Int) (y Int) (x1 Int) (y1 Int))
-            (=> (and (inv x y) (distinct y 0)
-                     (or (and (< y 0) (= x1 (- x 1)) (= y1 (+ y 1)))
-                         (and (>= y 0) (= x1 (+ x 1)) (= y1 (- y 1)))))
-                (inv x1 y1))))
-        (assert (forall ((x Int) (y Int) (x1 Int) (y1 Int))
-            (=> (and (inv x y) (distinct y 0)
-                     (or (and (< y 0) (= x1 (- x 1)) (= y1 (+ y 1)))
-                         (and (>= y 0) (= x1 (+ x 1)) (= y1 (- y 1))))
-                     (distinct y1 0))
-                (distinct x1 0))))
-        "#,
-    );
-    let suite: Vec<linarb_suite::Benchmark> = vec![
-        fig1(),
-        program_a(),
-        program_a_chc,
-        program_c_fibo(),
-        fibo_unsafe(),
-        even_odd(),
-        linarb_suite::cggmp2005(),
-        linarb_suite::jm2006(),
-        linarb_suite::hhk2008(),
-        linarb_suite::invgen_sum(),
-        linarb_suite::half_counter(),
-    ];
+    let suite = linarb_bench::smoke_suite();
 
     eprintln!("== fresh oracle ==");
     let fresh = run_mode(OracleMode::Fresh, &suite, timeout);
@@ -563,15 +520,12 @@ fn main() -> ExitCode {
         writeln!(
             json,
             "    \"learner_breakdown\": {{\"svm_s\": {:.3}, \"dtree_s\": {:.3}, \
-             \"rationalize_s\": {:.3}, \"seeded_atoms\": {}, \
-             \"seed_hits\": {}, \"seeds_pruned\": {}, \"learn_memo_hits\": {}}},",
+             \"rationalize_s\": {:.3}, \"seeded_atoms\": {}, \"seed_hits\": {}}},",
             run.svm_s,
             run.dtree_s,
             run.rationalize_s,
             run.seeded_atoms,
-            run.seed_hits,
-            run.seeds_pruned,
-            run.learn_memo_hits
+            run.seed_hits
         )
         .unwrap();
         if run.alloc.enabled {

@@ -195,6 +195,47 @@ pub fn default_timeout() -> Duration {
     Duration::from_millis(env_or("LINARB_TIMEOUT_MS", 2000))
 }
 
+/// The perf-smoke selection: loop invariants needing many refinements
+/// (fig1, program_a, jm2006, hhk2008), recursion (fibo, even_odd), an
+/// unsat instance (fibo_unsafe), and quick sanity cases. `program_a`
+/// appears in both its mini-C form and the paper's CHC-direct form —
+/// the two encodings stress the oracle quite differently.
+pub fn smoke_suite() -> Vec<Benchmark> {
+    let program_a_chc = Benchmark::from_chc(
+        "program_a_chc",
+        linarb_suite::Category::Paper,
+        Expected::Safe,
+        r#"
+        (declare-fun inv (Int Int) Bool)
+        (assert (forall ((x Int) (y Int)) (=> (= x 0) (inv x y))))
+        (assert (forall ((x Int) (y Int) (x1 Int) (y1 Int))
+            (=> (and (inv x y) (distinct y 0)
+                     (or (and (< y 0) (= x1 (- x 1)) (= y1 (+ y 1)))
+                         (and (>= y 0) (= x1 (+ x 1)) (= y1 (- y 1)))))
+                (inv x1 y1))))
+        (assert (forall ((x Int) (y Int) (x1 Int) (y1 Int))
+            (=> (and (inv x y) (distinct y 0)
+                     (or (and (< y 0) (= x1 (- x 1)) (= y1 (+ y 1)))
+                         (and (>= y 0) (= x1 (+ x 1)) (= y1 (- y 1))))
+                     (distinct y1 0))
+                (distinct x1 0))))
+        "#,
+    );
+    vec![
+        linarb_suite::fig1(),
+        linarb_suite::program_a(),
+        program_a_chc,
+        linarb_suite::program_c_fibo(),
+        linarb_suite::fibo_unsafe(),
+        linarb_suite::even_odd(),
+        linarb_suite::cggmp2005(),
+        linarb_suite::jm2006(),
+        linarb_suite::hhk2008(),
+        linarb_suite::invgen_sum(),
+        linarb_suite::half_counter(),
+    ]
+}
+
 /// Subsamples a suite deterministically to at most `n` entries,
 /// keeping the category mix (every k-th element).
 pub fn subsample(suite: Vec<Benchmark>, n: usize) -> Vec<Benchmark> {

@@ -1,7 +1,7 @@
 //! Differential test for the incremental DPLL(T) oracle.
 //!
 //! The incremental oracle (persistent per-clause contexts, activation
-//! literals, countermodel reuse) must be observationally equivalent to
+//! literals, the trivial-head skip) must be observationally equivalent to
 //! the fresh rebuild-per-check oracle: on every instance both modes
 //! finish, they must produce the same `SolveResult` classification,
 //! and each answer must validate independently (interpretations are
@@ -129,8 +129,8 @@ fn incremental_matches_fresh_classification() {
 
         // The incremental mode must actually exercise its machinery:
         // persistent contexts make repeat encodings cache hits, and
-        // the skip paths (trivial heads, countermodel reuse) fire on
-        // anything beyond a couple of iterations.
+        // the trivial-head skip fires on anything beyond a couple of
+        // iterations.
         let stats = inc.stats();
         if stats.iterations > 2 {
             assert!(

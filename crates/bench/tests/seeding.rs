@@ -6,8 +6,9 @@
 //! verdict — and both interpretations must independently verify
 //! against every clause of the system. The second test pins the
 //! orthogonal contract: with seeding on (the default), the refinement
-//! trajectory is bit-identical run to run, because all seed
-//! bookkeeping (hits, unsat-core notes, pruning) is counter-based.
+//! trajectory is bit-identical run to run, because the seed store is
+//! filled in harvest order and its only bookkeeping (hit counts) is
+//! counter-based.
 
 use linarb_logic::{ChcSystem, Interpretation};
 use linarb_smt::{check_sat, Budget, SmtResult};
@@ -110,8 +111,8 @@ fn verdict(r: &SolveResult) -> &'static str {
     }
 }
 
-/// With seeding on, the trajectory — including the seed-hit and
-/// memo-replay counters — must repeat exactly across identical runs.
+/// With seeding on, the trajectory — including the seed-hit counter —
+/// must repeat exactly across identical runs.
 #[test]
 fn seeding_trajectory_is_deterministic() {
     for bench in suite() {
@@ -130,7 +131,6 @@ fn seeding_trajectory_is_deterministic() {
                 s.samples,
                 s.learn_calls,
                 s.seed_hits,
-                s.seeds_pruned,
                 s.learn_memo_hits,
             )
         };

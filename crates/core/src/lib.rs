@@ -109,8 +109,7 @@ pub trait Learner: Send + Sync {
 /// the winner: PDR publishes its inductive lemma atoms, interpolation
 /// its Farkas planes, and BMC the states of candidate counterexample
 /// prefixes. The CEGAR solver drains the bus at every round boundary —
-/// atoms flow into its [`SeedStore`] (bumping seed versions, so the
-/// learn memo invalidates naturally) and negatives into the sample
+/// atoms flow into its [`SeedStore`] and negatives into the sample
 /// stores (skipped when already derived positive, since a
 /// backward-reachable state that is also forward-derivable means the
 /// system is unsat and some engine is about to prove it).
@@ -172,8 +171,7 @@ pub enum OracleMode {
     /// One persistent DPLL(T) context per clause: the clause constraint
     /// and skeleton are encoded once, candidate interpretations are
     /// swapped in and out via activation literals, and learned clauses
-    /// carry over between checks. Also enables the countermodel-reuse
-    /// fast path.
+    /// carry over between checks.
     #[default]
     Incremental,
     /// Rebuild the encoding and solver state on every check (the
@@ -192,11 +190,11 @@ pub struct SolverConfig {
     /// SMT oracle strategy.
     pub oracle: OracleMode,
     /// Symbolic seeding (DESIGN.md §12): harvest candidate separating
-    /// directions from clause syntax (and any attached hints/atoms),
+    /// directions from clause syntax (and any attached atoms) and
     /// offer them to the learner as first-try separators and extra
-    /// decision-tree features, and prune the ones unsat cores never
-    /// use. Defaults to on unless `LINARB_NO_SEED=1`. Purely a
-    /// heuristic accelerator: verdicts are unaffected.
+    /// decision-tree features. Defaults to on unless
+    /// `LINARB_NO_SEED=1`. Purely a heuristic accelerator: verdicts are
+    /// unaffected.
     pub seeding: bool,
     /// Extra seed atoms in predicate parameter space, injected by the
     /// caller (e.g. interpolants harvested by the bench harness from
@@ -411,9 +409,9 @@ pub struct SolveStats {
     /// running the oracle; subtract `smt_checks_skipped` for the
     /// number of full oracle runs).
     pub smt_checks: usize,
-    /// Checks answered without running the oracle: a cached
-    /// countermodel still witnessed invalidity, or the head predicate
-    /// was unconstrained (`true`) so the clause was trivially valid.
+    /// Checks answered without running the oracle because the head
+    /// predicate was unconstrained (`true`), so the clause was
+    /// trivially valid.
     pub smt_checks_skipped: usize,
     /// Guarded interpretation instantiations served from a clause
     /// context's cache instead of being re-encoded.
@@ -446,10 +444,8 @@ pub struct SolveStats {
     /// Times the learner used a seed plane directly in place of a
     /// classifier run.
     pub seed_hits: u64,
-    /// Seed planes retired by unsat-core pruning.
-    pub seeds_pruned: usize,
-    /// Learner invocations answered from the memo (dataset and seed
-    /// store unchanged since the predicate's last learn).
+    /// Always 0: the solver keeps no learner memo. Kept because the
+    /// repository benchmark (`evalbench/src/solve.rs`) still reads it.
     pub learn_memo_hits: usize,
     /// Seed atoms accepted from the cross-engine bus (0 without a
     /// [`CrossSeed`] channel; portfolio runs only, so inherently
@@ -478,8 +474,6 @@ impl SolveStats {
         report.set_counter("core.learned_db_size", self.learned_db_size as u64);
         report.set_counter("core.seeded_atoms", self.seeded_atoms as u64);
         report.set_counter("core.seed_hits", self.seed_hits);
-        report.set_counter("core.seeds_pruned", self.seeds_pruned as u64);
-        report.set_counter("core.learn_memo_hits", self.learn_memo_hits as u64);
         report.set_counter("core.cross_seed_atoms", self.cross_seed_atoms as u64);
         report.set_counter("core.cross_seed_negatives", self.cross_seed_negatives as u64);
     }
@@ -504,16 +498,6 @@ impl SolveStats {
 struct ClauseContext {
     solver: IncrementalSolver,
     guards: HashMap<Formula, Lit>,
-    /// Per-guard seed bookkeeping: the predicate whose interpretation
-    /// the guarded piece instantiates, and the parameter-space
-    /// directions of that interpretation's atoms. Consulted after an
-    /// `Unsat` answer to tell core-relevant directions from dead
-    /// weight (empty when seeding is off).
-    guard_dirs: HashMap<Lit, Vec<(PredId, Vec<BigInt>)>>,
-    /// The countermodel from the last invalid check: re-evaluated
-    /// before the next check, and if it still witnesses invalidity the
-    /// oracle is skipped entirely.
-    last_countermodel: Option<Model>,
 }
 
 impl ClauseContext {
@@ -523,31 +507,8 @@ impl ClauseContext {
         if let ClauseHead::Goal(g) = &clause.head {
             solver.assert_permanent(&Formula::not(g.clone()));
         }
-        ClauseContext {
-            solver,
-            guards: HashMap::new(),
-            guard_dirs: HashMap::new(),
-            last_countermodel: None,
-        }
+        ClauseContext { solver, guards: HashMap::new() }
     }
-}
-
-/// The parameter-space directions of a predicate interpretation's
-/// atoms, tagged with the predicate — the currency of unsat-core seed
-/// accounting. Atoms mentioning non-parameter variables (none in
-/// practice) are skipped.
-fn param_dirs(f: &Formula, params: &[Var], pred: PredId) -> Vec<(PredId, Vec<BigInt>)> {
-    f.atoms()
-        .iter()
-        .filter_map(|a| {
-            let expr = a.expr();
-            if expr.vars().any(|v| !params.contains(&v)) {
-                return None;
-            }
-            let dir: Vec<BigInt> = params.iter().map(|v| expr.coeff(*v)).collect();
-            dir.iter().any(|c| !c.is_zero()).then_some((pred, dir))
-        })
-        .collect()
 }
 
 /// Returns the variable of a single-variable, unit-coefficient,
@@ -623,13 +584,6 @@ pub struct CegarSolver<'a> {
     stats: SolveStats,
     /// Symbolic seed planes per predicate (empty when seeding is off).
     seeds: SeedStore,
-    /// Per-predicate learn memo: the key identifying the inputs of the
-    /// last learner run — `(num_positive, neg_epoch, num_negative,
-    /// seed version)`; both sample classes are append-only within a
-    /// negative epoch, so matching keys mean identical datasets — and
-    /// its result. One entry per predicate suffices: keys never
-    /// revisit an earlier state.
-    learn_memo: HashMap<PredId, ((usize, u64, usize, u64), Formula)>,
     /// Cumulative oracle-phase micros this solve, reported through [`ProgressReporter`]. Wall-clock
     /// — never feeds back into the trajectory.
     phase_oracle_us: u64,
@@ -651,11 +605,6 @@ impl<'a> CegarSolver<'a> {
         let mut seeds = SeedStore::new();
         if config.seeding {
             harvest_clause_seeds(sys, &mut seeds);
-            for (p, dir) in sys.seed_hints() {
-                if dir.len() == sys.pred(*p).params.len() {
-                    seeds.add_dir(*p, dir.clone());
-                }
-            }
             for (p, atom) in &config.seed_atoms {
                 seeds.add_atom(*p, atom, &sys.pred(*p).params);
             }
@@ -670,7 +619,6 @@ impl<'a> CegarSolver<'a> {
             contexts: HashMap::new(),
             stats: SolveStats::default(),
             seeds,
-            learn_memo: HashMap::new(),
             phase_oracle_us: 0,
             phase_resolve_us: 0,
             round: 0,
@@ -725,13 +673,6 @@ impl<'a> CegarSolver<'a> {
             if budget.exhausted() {
                 self.finalize_stats();
                 return SolveResult::Unknown(UnknownReason::Timeout);
-            }
-            // Round boundary: retire seed planes the oracle has
-            // repeatedly judged irrelevant (never in an unsat core).
-            // Purely counter-based — a trait of the trajectory, not
-            // the clock — so pruning is deterministic.
-            if self.config.seeding {
-                self.seeds.prune_dead();
             }
             // Round boundary: absorb whatever the racing engines have
             // published since the last round (portfolio runs only).
@@ -856,13 +797,6 @@ impl<'a> CegarSolver<'a> {
                 .map(|c| c.solver.learned_db_size() as u64)
                 .sum(),
             seeds_added: self.seeds.total_added(),
-            seed_version_sum: self
-                .sys
-                .preds()
-                .iter()
-                .map(|p| self.seeds.version(p.id))
-                .sum(),
-            seeds_pruned: self.seeds.total_pruned(),
             oracle_us: self.phase_oracle_us,
             resolve_us: self.phase_resolve_us,
             time_left_ms: budget.remaining().map(|d| d.as_millis() as u64),
@@ -901,13 +835,12 @@ impl<'a> CegarSolver<'a> {
             .sum();
         self.stats.seeded_atoms = self.seeds.total_added();
         self.stats.seed_hits = self.seeds.total_hits();
-        self.stats.seeds_pruned = self.seeds.total_pruned();
     }
 
     /// One SMT validity check of `clause` under the current
     /// interpretation, through the configured oracle.
     fn check_clause(&mut self, clause: &Clause, budget: &Budget) -> SmtResult {
-        // The span covers skipped/cached answers too: "core.oracle" in
+        // The span covers skipped answers too: "core.oracle" in
         // the metrics report is the loop's total oracle-side time.
         let mut span = linarb_trace::span(Level::Debug, "core", "core.oracle");
         self.stats.smt_checks += 1;
@@ -937,29 +870,12 @@ impl<'a> CegarSolver<'a> {
             .contexts
             .entry(clause.id)
             .or_insert_with(|| ClauseContext::new(clause));
-        // Countermodel reuse: if the previous countermodel still
-        // violates the clause under the *current* interpretation, it is
-        // a valid answer and the oracle run is skipped. Two guards keep
-        // the fast path from degrading sample quality: the model must
-        // assign every variable of the current check (an under-
-        // specified model would be zero-completed by `eval`, yielding
-        // degenerate samples), and a cached model is served at most
-        // once — `take()` clears it — so refinement never pins on one
-        // stale point for many rounds.
-        if let Some(m) = ctx.last_countermodel.take() {
-            let chk = sys.validity_check(clause, interp);
-            if chk.vars().iter().all(|v| m.get(*v).is_some()) && chk.eval(&m) {
-                self.stats.smt_checks_skipped += 1;
-                return SmtResult::Sat(m);
-            }
-        }
         // Assemble the interpretation-dependent pieces and their
         // activation literals, encoding only pieces this context has
         // never seen.
-        let collect_cores = self.config.seeding;
         let mut active: Vec<Lit> = Vec::new();
         let hits = &mut self.stats.ctx_reuse_hits;
-        let mut add_piece = |piece: Formula, dirs: Vec<(PredId, Vec<BigInt>)>| {
+        let mut add_piece = |piece: Formula| {
             if matches!(piece, Formula::True) {
                 return;
             }
@@ -971,34 +887,17 @@ impl<'a> CegarSolver<'a> {
                 None => {
                     let g = ctx.solver.push_guarded(&piece);
                     ctx.guards.insert(piece, g);
-                    if !dirs.is_empty() {
-                        ctx.guard_dirs.insert(g, dirs);
-                    }
                     active.push(g);
                 }
             }
         };
         for app in &clause.body_preds {
             let f = ChcSystem::interp_of(interp, app.pred);
-            let params = &sys.pred(app.pred).params;
-            let dirs = if collect_cores {
-                param_dirs(f, params, app.pred)
-            } else {
-                Vec::new()
-            };
-            let piece = app.instantiate(f, params);
-            add_piece(piece, dirs);
+            add_piece(app.instantiate(f, &sys.pred(app.pred).params));
         }
         if let ClauseHead::Pred(app) = &clause.head {
             let f = ChcSystem::interp_of(interp, app.pred);
-            let params = &sys.pred(app.pred).params;
-            let dirs = if collect_cores {
-                param_dirs(f, params, app.pred)
-            } else {
-                Vec::new()
-            };
-            let piece = Formula::not(app.instantiate(f, params));
-            add_piece(piece, dirs);
+            add_piece(Formula::not(app.instantiate(f, &sys.pred(app.pred).params)));
         }
         let result = ctx.solver.check(&active, budget);
         if let SmtResult::Sat(m) = &result {
@@ -1006,22 +905,6 @@ impl<'a> CegarSolver<'a> {
                 sys.validity_check(clause, interp).eval(m),
                 "incremental oracle must return genuine countermodels"
             );
-            ctx.last_countermodel = Some(m.clone());
-        }
-        if collect_cores && result.is_unsat() {
-            // Every direction behind an active guard "reached the oracle"
-            // in this refutation; the ones whose guard made the final
-            // conflict are core-useful. Guard order (body, then head) keeps
-            // the seed store's updates deterministic.
-            let core = ctx.solver.last_unsat_core();
-            for g in &active {
-                if let Some(dirs) = ctx.guard_dirs.get(g) {
-                    let useful = core.contains(g);
-                    for (pred, dir) in dirs {
-                        self.seeds.note_core(*pred, dir, useful);
-                    }
-                }
-            }
         }
         result
     }
@@ -1117,26 +1000,6 @@ impl<'a> CegarSolver<'a> {
             for p in &changed {
                 let pred = self.sys.pred(*p);
                 let ds = &self.data[p];
-                // The learner is a pure function of (positives,
-                // negative epoch, negatives, seed planes): positives
-                // only grow, negatives only grow within an epoch
-                // (`clear_negatives` bumps the epoch), and seed
-                // mutations bump the per-predicate seed version — so
-                // this key uniquely identifies the learner's input and
-                // a matching memo entry can be replayed verbatim.
-                let key = (
-                    ds.num_positive(),
-                    ds.neg_epoch(),
-                    ds.num_negative(),
-                    self.seeds.version(*p),
-                );
-                if let Some((k, f)) = self.learn_memo.get(p) {
-                    if *k == key {
-                        self.stats.learn_memo_hits += 1;
-                        self.interp.insert(*p, f.clone());
-                        continue;
-                    }
-                }
                 self.stats.learn_calls += 1;
                 let learned = {
                     let planes: &[SeedPlane] = if self.config.seeding {
@@ -1151,7 +1014,6 @@ impl<'a> CegarSolver<'a> {
                         for i in hits {
                             self.seeds.note_hit(*p, i);
                         }
-                        self.learn_memo.insert(*p, (key, f.clone()));
                         self.interp.insert(*p, f);
                     }
                     Err(LearnError::ContradictorySamples(s)) => {

@@ -43,11 +43,6 @@ pub struct ProgressSnapshot {
     pub learned_db_size: u64,
     /// Seed planes ever added to the seed store.
     pub seeds_added: usize,
-    /// Sum of per-predicate seed-store versions (bumps on every
-    /// addition/prune — a cheap staleness cursor).
-    pub seed_version_sum: u64,
-    /// Seed planes retired by unsat-core pruning.
-    pub seeds_pruned: usize,
     /// Cumulative oracle-phase micros so far. Timing field.
     pub oracle_us: u64,
     /// Cumulative resolve-phase micros so far (sample extraction +
@@ -75,8 +70,8 @@ impl ProgressSnapshot {
             s,
             "{{\"kind\":\"progress\",\"round\":{},\"iterations\":{},\"frontier\":{},\
              \"samples\":{},\"positive_samples\":{},\"interp_preds\":{},\
-             \"learned_db_size\":{},\"seeds_added\":{},\"seed_version_sum\":{},\
-             \"seeds_pruned\":{},\"oracle_us\":{},\"resolve_us\":{}",
+             \"learned_db_size\":{},\"seeds_added\":{},\"oracle_us\":{},\
+             \"resolve_us\":{}",
             self.round,
             self.iterations,
             self.frontier,
@@ -85,8 +80,6 @@ impl ProgressSnapshot {
             self.interp_preds,
             self.learned_db_size,
             self.seeds_added,
-            self.seed_version_sum,
-            self.seeds_pruned,
             self.oracle_us,
             self.resolve_us,
         );
@@ -110,14 +103,13 @@ impl ProgressSnapshot {
     pub fn ticker_line(&self) -> String {
         let mut s = format!(
             "[cegar] round {:>3}  iter {:>5}  frontier {:>3}  samples {} (+{})  \
-             learned_db {}  seeds {}/{}  oracle {:.2}s  resolve {:.2}s",
+             learned_db {}  seeds {}  oracle {:.2}s  resolve {:.2}s",
             self.round,
             self.iterations,
             self.frontier,
             self.samples,
             self.positive_samples,
             self.learned_db_size,
-            self.seeds_added - self.seeds_pruned,
             self.seeds_added,
             self.oracle_us as f64 / 1e6,
             self.resolve_us as f64 / 1e6,
@@ -221,8 +213,6 @@ mod tests {
             interp_preds: 2,
             learned_db_size: 37,
             seeds_added: 12,
-            seed_version_sum: 14,
-            seeds_pruned: 1,
             oracle_us: 1_500_000,
             resolve_us: 250_000,
             time_left_ms: Some(28_500),

@@ -35,7 +35,19 @@ enum Tok {
 struct Lexer {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// Current nesting of the syntax tree under construction: one level
+    /// per nested statement, parenthesis, unary operator or binary
+    /// operator folded into a chain.
+    depth: usize,
 }
+
+/// Deepest syntax-tree nesting the parser accepts. The parser, the VC
+/// generator and the tree's destructor all recurse over the tree, so
+/// unbounded input nesting would overflow the stack. Every bundled
+/// benchmark program parses under a cap of 16; 64 leaves headroom
+/// while keeping the recursion inside a 2 MiB thread stack in debug
+/// builds.
+const MAX_NESTING: usize = 64;
 
 const PUNCTS: &[&str] = &[
     "==", "!=", "<=", ">=", "&&", "||", "->", "(", ")", "{", "}", ";", ",", "=", "<", ">", "+",
@@ -165,6 +177,31 @@ impl Lexer {
             false
         }
     }
+
+    /// Descends one nesting level, failing past [`MAX_NESTING`]. A
+    /// failed parse is abandoned, so only successful paths restore
+    /// `depth`.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(ParseError::new(
+                self.line(),
+                format!("syntax nested deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level down.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Lexer) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.enter()?;
+        let t = parse(self)?;
+        self.depth -= 1;
+        Ok(t)
+    }
 }
 
 /// Parses a mini-C program.
@@ -187,7 +224,7 @@ impl Lexer {
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let toks = lex(src)?;
-    let mut lx = Lexer { toks, pos: 0 };
+    let mut lx = Lexer { toks, pos: 0, depth: 0 };
     let mut functions = Vec::new();
     while lx.peek().is_some() {
         functions.push(parse_function(&mut lx)?);
@@ -293,43 +330,54 @@ fn parse_stmt(lx: &mut Lexer) -> Result<Stmt, ParseError> {
 }
 
 fn parse_block_or_stmt(lx: &mut Lexer) -> Result<Vec<Stmt>, ParseError> {
-    if lx.peek() == Some(&Tok::Punct("{")) {
-        parse_block(lx)
-    } else {
-        Ok(vec![parse_stmt(lx)?])
-    }
+    lx.nested(|lx| {
+        if lx.peek() == Some(&Tok::Punct("{")) {
+            parse_block(lx)
+        } else {
+            Ok(vec![parse_stmt(lx)?])
+        }
+    })
 }
 
-// Conditions: || over && over unary over comparison.
+// Conditions: || over && over unary over comparison. Binary chains
+// fold left, so each folded operator nests the tree one level deeper.
 fn parse_cond(lx: &mut Lexer) -> Result<Cond, ParseError> {
+    let base = lx.depth;
     let mut lhs = parse_cond_and(lx)?;
     while lx.eat("||") {
+        lx.enter()?;
         let rhs = parse_cond_and(lx)?;
         lhs = Cond::Or(Box::new(lhs), Box::new(rhs));
     }
+    lx.depth = base;
     Ok(lhs)
 }
 
 fn parse_cond_and(lx: &mut Lexer) -> Result<Cond, ParseError> {
+    let base = lx.depth;
     let mut lhs = parse_cond_unary(lx)?;
     while lx.eat("&&") {
+        lx.enter()?;
         let rhs = parse_cond_unary(lx)?;
         lhs = Cond::And(Box::new(lhs), Box::new(rhs));
     }
+    lx.depth = base;
     Ok(lhs)
 }
 
 fn parse_cond_unary(lx: &mut Lexer) -> Result<Cond, ParseError> {
     if lx.eat("!") {
-        return Ok(Cond::Not(Box::new(parse_cond_unary(lx)?)));
+        return Ok(Cond::Not(Box::new(lx.nested(parse_cond_unary)?)));
     }
     // `(` could open a nested condition or an arithmetic expression;
     // try condition first by scanning for a comparison at depth 0.
     if lx.peek() == Some(&Tok::Punct("(")) && cond_ahead(lx) {
-        lx.expect("(")?;
-        let c = parse_cond(lx)?;
-        lx.expect(")")?;
-        return Ok(c);
+        return lx.nested(|lx| {
+            lx.expect("(")?;
+            let c = parse_cond(lx)?;
+            lx.expect(")")?;
+            Ok(c)
+        });
     }
     if lx.eat_kw("true") {
         return Ok(Cond::Const(true));
@@ -384,52 +432,58 @@ fn cond_ahead(lx: &Lexer) -> bool {
     false
 }
 
-// Expressions: + - over * / % over unary over atoms.
+// Expressions: + - over * / % over unary over atoms, binary chains
+// folding left as for conditions.
 fn parse_expr(lx: &mut Lexer) -> Result<Expr, ParseError> {
+    let base = lx.depth;
     let mut lhs = parse_term(lx)?;
     loop {
-        if lx.eat("+") {
-            let rhs = parse_term(lx)?;
-            lhs = Expr::Add(Box::new(lhs), Box::new(rhs));
+        let op: fn(Box<Expr>, Box<Expr>) -> Expr = if lx.eat("+") {
+            Expr::Add
         } else if lx.eat("-") {
-            let rhs = parse_term(lx)?;
-            lhs = Expr::Sub(Box::new(lhs), Box::new(rhs));
+            Expr::Sub
         } else {
+            lx.depth = base;
             return Ok(lhs);
-        }
+        };
+        lx.enter()?;
+        let rhs = parse_term(lx)?;
+        lhs = op(Box::new(lhs), Box::new(rhs));
     }
 }
 
 fn parse_term(lx: &mut Lexer) -> Result<Expr, ParseError> {
+    let base = lx.depth;
     let mut lhs = parse_unary(lx)?;
     loop {
-        if lx.eat("*") {
-            let rhs = parse_unary(lx)?;
-            lhs = Expr::Mul(Box::new(lhs), Box::new(rhs));
+        let op: fn(Box<Expr>, Box<Expr>) -> Expr = if lx.eat("*") {
+            Expr::Mul
         } else if lx.eat("/") {
-            let rhs = parse_unary(lx)?;
-            lhs = Expr::Div(Box::new(lhs), Box::new(rhs));
+            Expr::Div
         } else if lx.eat("%") {
-            let rhs = parse_unary(lx)?;
-            lhs = Expr::Mod(Box::new(lhs), Box::new(rhs));
+            Expr::Mod
         } else {
+            lx.depth = base;
             return Ok(lhs);
-        }
+        };
+        lx.enter()?;
+        let rhs = parse_unary(lx)?;
+        lhs = op(Box::new(lhs), Box::new(rhs));
     }
 }
 
 fn parse_unary(lx: &mut Lexer) -> Result<Expr, ParseError> {
     if lx.eat("-") {
-        return Ok(Expr::Neg(Box::new(parse_unary(lx)?)));
+        return Ok(Expr::Neg(Box::new(lx.nested(parse_unary)?)));
     }
     match lx.next() {
         Some(Tok::Num(n)) => Ok(Expr::Lit(n)),
         Some(Tok::Punct("*")) => Ok(Expr::Nondet),
-        Some(Tok::Punct("(")) => {
+        Some(Tok::Punct("(")) => lx.nested(|lx| {
             let e = parse_expr(lx)?;
             lx.expect(")")?;
             Ok(e)
-        }
+        }),
         Some(Tok::Ident(name)) => {
             if name == "nondet" {
                 lx.expect("(")?;
@@ -441,7 +495,7 @@ fn parse_unary(lx: &mut Lexer) -> Result<Expr, ParseError> {
                 let mut args = Vec::new();
                 if !lx.eat(")") {
                     loop {
-                        args.push(parse_expr(lx)?);
+                        args.push(lx.nested(parse_expr)?);
                         if lx.eat(")") {
                             break;
                         }
@@ -475,6 +529,23 @@ mod tests {
         assert!(!main.returns_value);
         assert_eq!(main.body.len(), 4);
         assert!(matches!(main.body[2], Stmt::While(Cond::Nondet, _)));
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let program = |init: String| format!("void main() {{ int y = {init}; }}");
+        let parens = |d: usize| program(format!("{}1{}", "(".repeat(d), ")".repeat(d)));
+        assert!(parse_program(&parens(MAX_NESTING)).is_ok());
+        let err = parse_program(&parens(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+        // A left-folded operator chain nests the tree as deeply.
+        let sum = |n: usize| program(format!("1{}", " + 1".repeat(n)));
+        assert!(parse_program(&sum(MAX_NESTING)).is_ok());
+        assert!(parse_program(&sum(MAX_NESTING + 1)).is_err());
+        let ifs =
+            |d: usize| format!("void main() {{ int y = 0; {}y = 1; }}", "if (y == 0) ".repeat(d));
+        assert!(parse_program(&ifs(MAX_NESTING)).is_ok());
+        assert!(parse_program(&ifs(MAX_NESTING + 1)).is_err());
     }
 
     #[test]

@@ -312,23 +312,7 @@ impl VcGen<'_> {
                     .rule(flow.preds.clone(), flow.constraint(), pred, vals);
                 // body: havoc scope, assume invariant + condition
                 let mut body_flow = self.havoc(f, &scope, pred);
-                let havoc_vars: Vec<Var> = scope
-                    .iter()
-                    .map(|n| {
-                        body_flow.env[n]
-                            .terms()
-                            .next()
-                            .map(|(v, _)| v)
-                            .expect("havoc binds each scope name to a fresh variable")
-                    })
-                    .collect();
                 let cf = self.cond(f, c, &mut body_flow)?;
-                // The guard's atoms are linear forms over exactly the
-                // havoc variables, i.e. the loop predicate's argument
-                // positions: record them as symbolic seed hints —
-                // loop invariants overwhelmingly involve the guard's
-                // separating directions.
-                self.harvest_guard_seeds(pred, &cf, &havoc_vars);
                 body_flow.constraints.push(cf);
                 let (body_ends, returns) = self.exec_block(f, body, vec![body_flow])?;
                 for end in body_ends {
@@ -340,22 +324,6 @@ impl VcGen<'_> {
                 let cf = self.cond(f, c, &mut exit_flow)?;
                 exit_flow.constraints.push(Formula::not(cf));
                 Ok((vec![exit_flow], returns))
-            }
-        }
-    }
-
-    /// Records each atom of a loop guard as a seed-hint direction over
-    /// `pred`'s parameter space. Atoms mentioning variables outside
-    /// `args` (e.g. fresh nondet booleans) are skipped.
-    fn harvest_guard_seeds(&mut self, pred: PredId, guard: &Formula, args: &[Var]) {
-        for a in guard.atoms() {
-            let expr = a.expr();
-            if expr.vars().any(|v| !args.contains(&v)) {
-                continue;
-            }
-            let dir: Vec<BigInt> = args.iter().map(|v| expr.coeff(*v)).collect();
-            if dir.iter().any(|c| !c.is_zero()) {
-                self.sys.add_seed_hint(pred, dir);
             }
         }
     }
@@ -585,25 +553,6 @@ mod tests {
         "#);
         let loops = sys.preds().iter().filter(|p| p.name.contains("loop")).count();
         assert_eq!(loops, 2);
-    }
-
-    #[test]
-    fn loop_guards_become_seed_hints() {
-        let sys = chc(r#"
-            void main() {
-                int i = 0; int n = nondet();
-                while (i < n) { i = i + 1; }
-                assert(i >= n || n < 0);
-            }
-        "#);
-        assert!(!sys.seed_hints().is_empty(), "while guard must leave a hint");
-        let (pred, dir) = &sys.seed_hints()[0];
-        assert_eq!(dir.len(), sys.pred(*pred).arity());
-        // the guard i < n separates along i - n
-        assert!(dir.iter().any(|c| !c.is_zero()));
-        // nondet guards leave no hint (their atoms mention fresh vars)
-        let nd = chc("void main() { int x = 0; while (*) { x = x + 1; } assert(x >= 0); }");
-        assert!(nd.seed_hints().is_empty());
     }
 
     #[test]

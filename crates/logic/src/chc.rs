@@ -155,11 +155,6 @@ pub struct ChcSystem {
     preds: Vec<Predicate>,
     clauses: Vec<Clause>,
     var_names: Vec<String>,
-    /// Symbolic seed hints attached by the producer of the system
-    /// (e.g. the frontend's branch conditions): candidate separating
-    /// directions in each predicate's parameter space. Purely
-    /// advisory — solvers may ignore them.
-    seed_hints: Vec<(PredId, Vec<BigInt>)>,
 }
 
 impl ChcSystem {
@@ -301,20 +296,6 @@ impl ChcSystem {
         goal: Formula,
     ) -> ClauseId {
         self.add_clause(body_preds, constraint, ClauseHead::Goal(goal))
-    }
-
-    /// Attaches a symbolic seed hint for `pred`: a candidate
-    /// separating direction, one coefficient per parameter (in
-    /// parameter order). Hints with the wrong dimension are ignored
-    /// when read back.
-    pub fn add_seed_hint(&mut self, pred: PredId, dir: Vec<BigInt>) {
-        self.seed_hints.push((pred, dir));
-    }
-
-    /// The seed hints attached via [`add_seed_hint`](Self::add_seed_hint),
-    /// in attachment order.
-    pub fn seed_hints(&self) -> &[(PredId, Vec<BigInt>)] {
-        &self.seed_hints
     }
 
     /// Looks an interpretation up, defaulting to `true`.

@@ -93,10 +93,23 @@ fn tokenize(input: &str) -> Result<Vec<String>, ParseChcError> {
     Ok(toks)
 }
 
+/// Deepest s-expression nesting the parser accepts. Everything after
+/// tokenizing (clause translation, formula traversals, destructors)
+/// recurses over the tree, so unbounded nesting would overflow the
+/// stack. The bundled benchmarks nest at most 11 deep; 64 leaves
+/// headroom while keeping clause translation inside a 2 MiB thread
+/// stack in debug builds (a 180-deep `not` chain overflows one).
+const MAX_NESTING: usize = 64;
+
 fn parse_sexps(tokens: &[String]) -> Result<Vec<Sexp>, ParseChcError> {
     let mut stack: Vec<Vec<Sexp>> = vec![Vec::new()];
     for t in tokens {
         match t.as_str() {
+            "(" if stack.len() > MAX_NESTING => {
+                return Err(ParseChcError::new(format!(
+                    "s-expressions nested deeper than {MAX_NESTING} levels"
+                )))
+            }
             "(" => stack.push(Vec::new()),
             ")" => {
                 let done = stack.pop().ok_or_else(|| ParseChcError::new("unbalanced ')'"))?;
@@ -636,6 +649,21 @@ mod tests {
             (assert (forall ((x Int) (y Int)) (=> (= x (* y y)) (p x))))
         "#;
         assert!(parse_chc(text).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        // `assert`, `forall`, `=>` and the comparison add four levels.
+        let nots = |depth: usize| {
+            format!(
+                "(declare-fun p (Int) Bool)\n(assert (forall ((x Int)) (=> {}(> x 0){} (p x))))",
+                "(not ".repeat(depth),
+                ")".repeat(depth)
+            )
+        };
+        assert!(parse_chc(&nots(MAX_NESTING - 4)).is_ok());
+        let err = parse_chc(&nots(MAX_NESTING - 3)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
     }
 
     #[test]

@@ -68,13 +68,6 @@ pub struct LearnConfig {
     pub mod_features: Vec<u64>,
     /// RNG seed, for reproducible runs.
     pub seed: u64,
-    /// Symbolic seeds: let the `LinearArbitrary` recursion use a
-    /// perfectly-scoring seed plane *directly* in place of a
-    /// classifier run. Ignored when no seeds are supplied.
-    pub seed_direct: bool,
-    /// Symbolic seeds: offer seed directions to the decision tree as
-    /// extra feature attributes.
-    pub seed_dt_features: bool,
 }
 
 impl Default for LearnConfig {
@@ -85,8 +78,6 @@ impl Default for LearnConfig {
             use_decision_tree: true,
             mod_features: vec![2],
             seed: 0x11AB,
-            seed_direct: true,
-            seed_dt_features: true,
         }
     }
 }
@@ -214,7 +205,7 @@ fn la_rec(
     }
 
     let mut hp: Option<Hyperplane> = None;
-    if !seeds.is_empty() && config.seed_direct {
+    if !seeds.is_empty() {
         if let Some((i, h, errors, pos_errors)) = best_seed(seeds, pos, neg) {
             if errors == 0 || (pos_errors == 0 && errors < neg.len()) {
                 hits.push(i);

@@ -203,6 +203,55 @@ fn malformed_frames_get_error_responses() {
 }
 
 #[test]
+fn deeply_nested_jobs_get_error_replies() {
+    let dir = std::env::temp_dir().join(format!("linarb-serve-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let addr = BindAddr::Unix(dir.join("daemon.sock"));
+    let core = Arc::new(ServeCore::new(test_config()));
+    let server_addr = addr.clone();
+    let handle = std::thread::spawn(move || serve(&server_addr, core));
+    let mut client = None;
+    for _ in 0..200 {
+        match Client::connect(&addr) {
+            Ok(c) => {
+                client = Some(c);
+                break;
+            }
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        }
+    }
+    let mut client = client.expect("daemon did not come up");
+    let solve = |id: u64, format: &str, program: &str| {
+        format!(
+            "{{\"op\":\"solve\",\"id\":{id},\"name\":\"job{id}\",\"format\":\"{format}\",\"program\":{}}}",
+            linarb_trace::json_string(program)
+        )
+    };
+    const DEPTH: usize = 20_000;
+    let deep_smt2 = format!(
+        "(declare-fun p (Int) Bool)\n(assert (forall ((x Int)) (=> {}(> x 0){} (p x))))\n",
+        "(not ".repeat(DEPTH),
+        ")".repeat(DEPTH)
+    );
+    let deep_c = format!(
+        "void main() {{ int y = {}1{}; assert(y == 1); }}\n",
+        "(".repeat(DEPTH),
+        ")".repeat(DEPTH)
+    );
+    for (id, format, program) in [(1, "smt2", &deep_smt2), (2, "c", &deep_c)] {
+        let reply = client.call(&solve(id, format, program)).unwrap();
+        assert!(reply.contains("\"verdict\":\"error\""), "deep {format} job: {reply}");
+        assert!(reply.contains("nested deeper than"), "deep {format} job: {reply}");
+    }
+    // The daemon survives and still solves.
+    let reply = client.call(&solve(3, "smt2", &fig1().system.to_smtlib())).unwrap();
+    assert!(reply.contains("\"verdict\":\"sat\""), "solve after deep jobs: {reply}");
+    client.call("{\"op\":\"shutdown\"}").unwrap();
+    handle.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn replay_driver_small_run_agrees_and_hits() {
     let bases: Vec<(String, linarb_logic::ChcSystem)> = [fig1(), fibo_unsafe()]
         .into_iter()

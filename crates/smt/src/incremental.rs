@@ -78,9 +78,6 @@ pub struct IncrementalSolver {
     /// and (worse) grows blocking clauses over irrelevant literals.
     guard_atoms: HashMap<Lit, Vec<BVar>>,
     checks: u64,
-    /// Activation literals of the last `Unsat` answer's assumption
-    /// core (see [`last_unsat_core`](Self::last_unsat_core)).
-    last_core: Vec<Lit>,
 }
 
 impl Default for IncrementalSolver {
@@ -100,7 +97,6 @@ impl IncrementalSolver {
             permanent_atoms: HashSet::new(),
             guard_atoms: HashMap::new(),
             checks: 0,
-            last_core: Vec::new(),
         }
     }
 
@@ -183,16 +179,6 @@ impl IncrementalSolver {
         // DPLL(T) round count for this one check.
         metrics::histogram("smt.check_pivots", self.num_simplex_pivots() - pivots0);
         metrics::histogram("smt.check_rounds", rounds);
-        // Record which *caller-visible* activation literals the final
-        // conflict used (internal call literals are filtered out). An
-        // empty core on Unsat means the permanent assertions alone are
-        // inconsistent with the clause set.
-        self.last_core.clear();
-        if result.is_unsat() {
-            self.last_core.extend(
-                self.enc.sat.assumption_core().iter().filter(|l| active.contains(l)),
-            );
-        }
         metrics::counter("smt.inc_checks", 1);
         if span.active() {
             span.record("active", active.len());
@@ -404,16 +390,6 @@ impl IncrementalSolver {
         }
     }
 
-    /// After an `Unsat` answer from [`check`](Self::check): the subset
-    /// of that check's `active` literals whose guarded formulas the
-    /// final conflict actually depended on. Guards absent from the
-    /// core were irrelevant to the refutation — the CEGAR loop uses
-    /// this to spot candidate atoms that never pull their weight.
-    /// Cleared by any non-`Unsat` check.
-    pub fn last_unsat_core(&self) -> &[Lit] {
-        &self.last_core
-    }
-
     /// Total clauses the persistent CDCL core has learned over the
     /// context's lifetime.
     pub fn learned_clauses(&self) -> u64 {
@@ -607,21 +583,6 @@ mod tests {
             }
             other => panic!("expected sat, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn unsat_core_names_only_relevant_guards() {
-        let mut s = IncrementalSolver::new();
-        s.assert_permanent(&Formula::from(Atom::ge(x(), c(3))));
-        let g_low = s.push_guarded(&Formula::from(Atom::le(x(), c(1))));
-        let g_free = s.push_guarded(&Formula::from(Atom::le(y(), c(10))));
-        assert!(s.check(&[g_low, g_free], &b()).is_unsat());
-        let core = s.last_unsat_core().to_vec();
-        assert!(core.contains(&g_low), "core {core:?} must contain the contradiction");
-        assert!(!core.contains(&g_free), "irrelevant guard in core {core:?}");
-        // a sat check clears the core
-        assert!(s.check(&[g_free], &b()).is_sat());
-        assert!(s.last_unsat_core().is_empty());
     }
 
     #[test]

@@ -34,6 +34,15 @@ echo "== seeding differential gate =="
 # CI invocation cannot skip it silently.
 cargo test -q --offline -p linarb-bench --test seeding
 
+echo "== trajectory pin gate =="
+# Every fast perf-smoke program, in both oracle modes, must walk exactly
+# the recorded trajectory (verdict, iterations, checks, skips, context
+# reuse, samples, seed planes, seed hits). A change that means to keep
+# solver behaviour passes this table unchanged; one that alters it on
+# purpose re-records the table. Repeated by name for the same
+# cannot-skip-silently reason.
+cargo test -q --offline -p linarb-bench --test trajectory_pins
+
 echo "== online/offline oracle differential gate =="
 # Online DPLL(T) (warm theory inside the search, LBD clause-DB
 # reduction) vs the offline reference oracle: identical verdicts on

@@ -215,3 +215,40 @@ fn threads_without_engine_is_a_usage_error() {
         "the error must name --engine: {stderr}"
     );
 }
+
+/// The two deep-nesting inputs shared by the CLI and serve tests: a
+/// 20,000-deep `(not …)` chain in SMT-LIB and a 20,000-deep
+/// parenthesized initializer in mini-C.
+fn deep_inputs() -> [(&'static str, String); 2] {
+    const DEPTH: usize = 20_000;
+    let smt2 = format!(
+        "(declare-fun p (Int) Bool)\n(assert (forall ((x Int)) (=> {}(> x 0){} (p x))))\n",
+        "(not ".repeat(DEPTH),
+        ")".repeat(DEPTH)
+    );
+    let c = format!(
+        "void main() {{ int y = {}1{}; assert(y == 1); }}\n",
+        "(".repeat(DEPTH),
+        ")".repeat(DEPTH)
+    );
+    [("smt2", smt2), ("c", c)]
+}
+
+#[test]
+fn deeply_nested_input_is_a_parse_error() {
+    let dir = std::env::temp_dir().join(format!("linarb-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (ext, text) in deep_inputs() {
+        let path = dir.join(format!("deep.{ext}"));
+        std::fs::write(&path, text).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_linarb"))
+            .arg(&path)
+            .output()
+            .expect("run linarb");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "deep .{ext} input must exit 1: {stderr}");
+        assert!(out.stdout.is_empty(), "no verdict may be printed for deep .{ext} input");
+        assert!(stderr.contains("parse error"), "deep .{ext} input: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
